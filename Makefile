@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench figures examples chaos crash-chaos partition partition-smoke lease cache cache-smoke batch scale scale-smoke ship ship-smoke escrow escrow-smoke determinism check-links doc clean
+.PHONY: all build test perf-smoke bench figures examples chaos crash-chaos partition partition-smoke lease cache cache-smoke batch scale scale-smoke ship ship-smoke escrow escrow-smoke determinism check-links doc clean
 
 all: build
 
@@ -9,6 +9,20 @@ build:
 
 test:
 	dune runtest
+
+# One short untraced run of each perfbench workload (see perfbench/README.md).
+# Fails unless each run's last line, a JSON summary, reports
+# "correct": true and "failed": 0. Reads the benchmark; never edits it.
+PERF_WORKLOADS = stream-64 web-read bank-escrow lossy-levers
+
+perf-smoke:
+	@for w in $(PERF_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$last" | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); \
+			print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); \
+			sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w \
+			|| { echo "perf-smoke: $$w did not verify"; exit 1; }; \
+	done
 
 bench:
 	dune exec bench/main.exe

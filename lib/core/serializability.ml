@@ -7,116 +7,102 @@ type committed_root = { root : Txn_id.t; reads : access list; writes : access li
 
 type verdict = Serializable of Txn_id.t list | Cyclic of Txn_id.t list
 
-module PageKey = struct
+module PageTable = Hashtbl.Make (struct
   type t = Oid.t * int
 
-  let compare (o1, p1) (o2, p2) =
-    let c = Oid.compare o1 o2 in
-    if c <> 0 then c else Int.compare p1 p2
-end
-
-module PageMap = Map.Make (PageKey)
-
-module EdgeSet = Set.Make (struct
-  type t = Txn_id.t * Txn_id.t
-
-  let compare (a1, b1) (a2, b2) =
-    let c = Txn_id.compare a1 a2 in
-    if c <> 0 then c else Txn_id.compare b1 b2
+  let equal (o1, p1) (o2, p2) = Oid.equal o1 o2 && Int.equal p1 p2
+  let hash (o, p) = Hashtbl.hash ((Oid.to_int o * 65599) + p)
 end)
 
-(* For each page: the versions written (version -> writer), sorted; and the
-   versions read (version -> readers). *)
-let index roots =
-  let writers = ref PageMap.empty in
-  let readers = ref PageMap.empty in
+let edges roots =
+  (* Per page, its writes and its reads as (version, root), latest first. *)
+  let writers = PageTable.create 1024 and readers = PageTable.create 1024 in
+  let log tbl root a =
+    let key = (a.oid, a.page) in
+    let cur = Option.value ~default:[] (PageTable.find_opt tbl key) in
+    PageTable.replace tbl key ((a.version, root) :: cur)
+  in
   List.iter
     (fun r ->
-      List.iter
-        (fun a ->
-          let key = (a.oid, a.page) in
-          let cur = Option.value ~default:[] (PageMap.find_opt key !writers) in
-          writers := PageMap.add key ((a.version, r.root) :: cur) !writers)
-        r.writes;
-      List.iter
-        (fun a ->
-          let key = (a.oid, a.page) in
-          let cur = Option.value ~default:[] (PageMap.find_opt key !readers) in
-          readers := PageMap.add key ((a.version, r.root) :: cur) !readers)
-        r.reads)
+      List.iter (log writers r.root) r.writes;
+      List.iter (log readers r.root) r.reads)
     roots;
-  (!writers, !readers)
-
-let edges roots =
-  let writers, readers = index roots in
-  let acc = ref EdgeSet.empty in
-  let add a b = if not (Txn_id.equal a b) then acc := EdgeSet.add (a, b) !acc in
-  PageMap.iter
+  let acc = ref [] in
+  let add a b = if not (Txn_id.equal a b) then acc := (a, b) :: !acc in
+  PageTable.iter
     (fun key ws ->
-      let ws = List.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) ws in
-      (* ww edges between consecutive writers. *)
-      let rec ww = function
-        | (_, w1) :: ((_, w2) :: _ as rest) ->
-            add w1 w2;
-            ww rest
-        | _ -> ()
+      (* Stable: writers of one version stay latest first (see the .mli). *)
+      let ws = Array.of_list ws in
+      Array.stable_sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) ws;
+      let n = Array.length ws in
+      (* Binary search: the index of the first writer of a version above x. *)
+      let rec above x lo hi =
+        let mid = (lo + hi) / 2 in
+        if lo >= hi then lo else if fst ws.(mid) <= x then above x (mid + 1) hi else above x lo mid
       in
-      ww ws;
-      let rs = Option.value ~default:[] (PageMap.find_opt key readers) in
+      (* ww edges between consecutive writers. *)
+      for i = 1 to n - 1 do
+        add (snd ws.(i - 1)) (snd ws.(i))
+      done;
       List.iter
         (fun (rv, reader) ->
+          let next = above rv 0 n in
           (* wr: whoever wrote version rv precedes the reader. *)
-          List.iter (fun (wv, writer) -> if wv = rv then add writer reader) ws;
+          for i = above (rv - 1) 0 next to next - 1 do
+            add (snd ws.(i)) reader
+          done;
           (* rw: the reader precedes the writer of the next version. *)
-          let next =
-            List.fold_left
-              (fun best (wv, writer) ->
-                if wv > rv then
-                  match best with
-                  | Some (bv, _) when bv <= wv -> best
-                  | _ -> Some (wv, writer)
-                else best)
-              None ws
-          in
-          match next with Some (_, writer) -> add reader writer | None -> ())
-        rs)
+          if next < n then add reader (snd ws.(next)))
+        (Option.value ~default:[] (PageTable.find_opt readers key)))
     writers;
-  EdgeSet.elements !acc
+  let by_edge (a1, b1) (a2, b2) =
+    match Txn_id.compare a1 a2 with 0 -> Txn_id.compare b1 b2 | c -> c
+  in
+  List.sort_uniq by_edge !acc
 
 let check roots =
-  let es = edges roots in
-  let nodes = List.map (fun r -> r.root) roots in
-  let succs = Txn_id.Table.create 64 in
+  (* Dense indices in id order: ids.(i) is the root with index i. *)
+  let ids = Array.of_list (List.sort_uniq Txn_id.compare (List.map (fun r -> r.root) roots)) in
+  let n = Array.length ids in
+  let index = Txn_id.Table.create n in
+  Array.iteri (fun i id -> Txn_id.Table.replace index id i) ids;
+  (* Successors in descending order, the order the search tries them. *)
+  let succs = Array.make n [] in
   List.iter
     (fun (a, b) ->
-      let cur = Option.value ~default:[] (Txn_id.Table.find_opt succs a) in
-      Txn_id.Table.replace succs a (b :: cur))
-    es;
-  (* Iterative DFS with colours; produces reverse topological order or finds a
-     cycle. *)
-  let colour = Txn_id.Table.create 64 in
-  (* 1 = in progress, 2 = done *)
-  let order = ref [] in
-  let cycle = ref None in
-  let rec visit path n =
-    if !cycle <> None then ()
-    else
-      match Txn_id.Table.find_opt colour n with
-      | Some 2 -> ()
-      | Some _ ->
-          let rec take acc = function
-            | [] -> acc
-            | x :: rest -> if Txn_id.equal x n then x :: acc else take (x :: acc) rest
-          in
-          cycle := Some (take [] path)
-      | None ->
-          Txn_id.Table.replace colour n 1;
-          List.iter (visit (n :: path)) (Option.value ~default:[] (Txn_id.Table.find_opt succs n));
-          Txn_id.Table.replace colour n 2;
-          order := n :: !order
+      let a = Txn_id.Table.find index a in
+      succs.(a) <- Txn_id.Table.find index b :: succs.(a))
+    (edges roots);
+  (* DFS with colours (1 = on the stack, 2 = done) over an explicit stack of
+     frames, top first, each a node and its untried successors. The bottom
+     frame is a virtual node whose successors are the roots in order.
+     Produces reverse topological order or finds a cycle. *)
+  let colour = Array.make n 0 and order = ref [] in
+  let exception Cycle of Txn_id.t list in
+  let enter v frames =
+    colour.(v) <- 1;
+    (v, succs.(v)) :: frames
   in
-  List.iter (fun n -> visit [] n) nodes;
-  match !cycle with Some c -> Cyclic c | None -> Serializable !order
+  let rec search = function
+    | [] | [ (_, []) ] -> ()
+    | (u, []) :: up ->
+        colour.(u) <- 2;
+        order := ids.(u) :: !order;
+        search up
+    | (u, v :: rest) :: up as frames ->
+        if colour.(v) = 0 then search (enter v ((u, rest) :: up))
+        else if colour.(v) = 2 then search ((u, rest) :: up)
+        else
+          (* The cycle runs from v up the stack to its top. *)
+          let rec take acc = function
+            | (w, _) :: up when w <> v -> take (ids.(w) :: acc) up
+            | _ -> ids.(v) :: acc
+          in
+          raise (Cycle (take [] frames))
+  in
+  match search [ (-1, List.map (fun r -> Txn_id.Table.find index r.root) roots) ] with
+  | () -> Serializable !order
+  | exception Cycle c -> Cyclic c
 
 (* --- escrow semantics -------------------------------------------------- *)
 
@@ -131,10 +117,14 @@ type escrow_op =
 
 (* Replay state of one escrowed object: the home's committed value, the
    outstanding per-family reservations, and per node the remaining delegated
-   quota plus the locally committed delta not yet reconciled home. *)
+   quota plus the locally committed delta not yet reconciled home. The sums
+   over families and nodes are kept running, so each op costs O(1). *)
 type obj_state = {
   mutable value : int;
-  mutable res : (Txn_id.t * int) list;
+  res : (int * int) Txn_id.Table.t;  (* family -> net delta, op index of its last reserve *)
+  mutable worst_up : int;  (* positive net reservations + every node's q_up *)
+  mutable worst_down : int;  (* negative net reservations - every node's q_down *)
+  mutable unreconciled : int;  (* every node's pending *)
   mutable committed : int;  (* sum of every delta committed so far *)
   nodes : (int, node_state) Hashtbl.t;
 }
@@ -155,7 +145,10 @@ let check_escrow ~lower ~upper ~initial ~ops =
     match Oid.Table.find_opt objects oid with
     | Some s -> s
     | None ->
-        let s = { value = initial; res = []; committed = 0; nodes = Hashtbl.create 4 } in
+        let s =
+          { value = initial; res = Txn_id.Table.create 16; worst_up = 0; worst_down = 0;
+            unreconciled = 0; committed = 0; nodes = Hashtbl.create 4 }
+        in
         Oid.Table.add objects oid s;
         s
   in
@@ -167,13 +160,24 @@ let check_escrow ~lower ~upper ~initial ~ops =
         Hashtbl.add s.nodes n ns;
         ns
   in
-  let worst_down s =
-    List.fold_left (fun acc (_, d) -> if d < 0 then acc + d else acc) 0 s.res
-    - Hashtbl.fold (fun _ ns acc -> acc + ns.q_down) s.nodes 0
+  (* Move a family's net reservation from [cur] to [d] in the worst cases. *)
+  let retally s cur d =
+    if cur > 0 then s.worst_up <- s.worst_up - cur else s.worst_down <- s.worst_down - cur;
+    if d > 0 then s.worst_up <- s.worst_up + d else s.worst_down <- s.worst_down + d
   in
-  let worst_up s =
-    List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 s.res
-    + Hashtbl.fold (fun _ ns acc -> acc + ns.q_up) s.nodes 0
+  let resolve s family =
+    let r = Txn_id.Table.find_opt s.res family in
+    Option.iter (fun (d, _) -> Txn_id.Table.remove s.res family; retally s d 0) r;
+    r
+  in
+  (* Change a node's quota and pending delta, and the object's sums with them. *)
+  let shift s ns ~up ~down ~pending =
+    ns.q_up <- ns.q_up + up;
+    ns.q_down <- ns.q_down + down;
+    ns.pending <- ns.pending + pending;
+    s.worst_up <- s.worst_up + up;
+    s.worst_down <- s.worst_down - down;
+    s.unreconciled <- s.unreconciled + pending
   in
   (* Invariants that must hold after every step: the worst case over all
      outstanding obligations stays in bounds, and the home value plus the
@@ -182,16 +186,15 @@ let check_escrow ~lower ~upper ~initial ~ops =
   let assert_state i oid s =
     if s.value < lower || s.value > upper then
       err "op %d: %a value %d outside [%d, %d]" i Oid.pp oid s.value lower upper;
-    if s.value + worst_down s < lower then
+    if s.value + s.worst_down < lower then
       err "op %d: %a worst-case low %d breaches floor %d" i Oid.pp oid
-        (s.value + worst_down s) lower;
-    if upper - s.value - worst_up s < 0 then
+        (s.value + s.worst_down) lower;
+    if upper - s.value - s.worst_up < 0 then
       err "op %d: %a worst-case high %d breaches ceiling %d" i Oid.pp oid
-        (s.value + worst_up s) upper;
-    let pending = Hashtbl.fold (fun _ ns acc -> acc + ns.pending) s.nodes 0 in
-    if s.value + pending <> initial + s.committed then
+        (s.value + s.worst_up) upper;
+    if s.value + s.unreconciled <> initial + s.committed then
       err "op %d: %a conservation broken: value %d + pending %d <> initial %d + committed %d"
-        i Oid.pp oid s.value pending initial s.committed
+        i Oid.pp oid s.value s.unreconciled initial s.committed
   in
   List.iteri
     (fun i op ->
@@ -201,37 +204,34 @@ let check_escrow ~lower ~upper ~initial ~ops =
           (* The log only records admitted reservations; re-run the
              admission test to prove each admission was legal. *)
           let ok =
-            if delta < 0 then s.value + worst_down s - lower + delta >= 0
-            else if delta > 0 then upper - s.value - worst_up s - delta >= 0
+            if delta < 0 then s.value + s.worst_down - lower + delta >= 0
+            else if delta > 0 then upper - s.value - s.worst_up - delta >= 0
             else true
           in
           if not ok then
             err "op %d: %a reservation %+d by %a was admitted but breaches a bound" i Oid.pp
               oid delta Txn_id.pp family;
-          let cur = Option.value ~default:0 (List.assoc_opt family s.res) in
-          s.res <- (family, cur + delta) :: List.remove_assoc family s.res;
+          let cur = Option.fold ~none:0 ~some:fst (Txn_id.Table.find_opt s.res family) in
+          retally s cur (cur + delta);
+          Txn_id.Table.replace s.res family (cur + delta, i);
           assert_state i oid s
       | E_commit { oid; family } -> (
           let s = state oid in
-          match List.assoc_opt family s.res with
+          match resolve s family with
           | None -> err "op %d: %a commit by %a with no reservation" i Oid.pp oid Txn_id.pp family
-          | Some d ->
-              s.res <- List.remove_assoc family s.res;
+          | Some (d, _) ->
               s.value <- s.value + d;
               s.committed <- s.committed + d;
               assert_state i oid s)
       | E_abort { oid; family } ->
           let s = state oid in
-          if not (List.mem_assoc family s.res) then
-            err "op %d: %a abort by %a with no reservation" i Oid.pp oid Txn_id.pp family
-          else s.res <- List.remove_assoc family s.res;
+          if Option.is_none (resolve s family) then
+            err "op %d: %a abort by %a with no reservation" i Oid.pp oid Txn_id.pp family;
           assert_state i oid s
       | E_delegate { oid; node; up; down } ->
           let s = state oid in
           if up < 0 || down < 0 then err "op %d: %a negative delegation" i Oid.pp oid;
-          let ns = node_state s node in
-          ns.q_up <- ns.q_up + up;
-          ns.q_down <- ns.q_down + down;
+          shift s (node_state s node) ~up ~down ~pending:0;
           assert_state i oid s
       | E_local_commit { oid; node; delta } ->
           let s = state oid in
@@ -240,17 +240,16 @@ let check_escrow ~lower ~upper ~initial ~ops =
             if ns.q_up < delta then
               err "op %d: %a node %d local commit %+d exceeds up-quota %d" i Oid.pp oid node
                 delta ns.q_up;
-            ns.q_up <- ns.q_up - delta;
+            shift s ns ~up:(-delta) ~down:0 ~pending:delta;
             ns.spent_up <- ns.spent_up + delta
           end
           else if delta < 0 then begin
             if ns.q_down < -delta then
               err "op %d: %a node %d local commit %+d exceeds down-quota %d" i Oid.pp oid node
                 delta ns.q_down;
-            ns.q_down <- ns.q_down + delta;
+            shift s ns ~up:0 ~down:delta ~pending:delta;
             ns.spent_down <- ns.spent_down - delta
           end;
-          ns.pending <- ns.pending + delta;
           s.committed <- s.committed + delta;
           assert_state i oid s
       | E_reconcile { oid; node; delta; used_up; used_down } ->
@@ -263,7 +262,7 @@ let check_escrow ~lower ~upper ~initial ~ops =
             err "op %d: %a node %d reports quota use %d/%d, spent %d/%d" i Oid.pp oid node
               used_up used_down ns.spent_up ns.spent_down;
           s.value <- s.value + ns.pending;
-          ns.pending <- 0;
+          shift s ns ~up:0 ~down:0 ~pending:(-ns.pending);
           ns.spent_up <- 0;
           ns.spent_down <- 0;
           assert_state i oid s
@@ -273,16 +272,17 @@ let check_escrow ~lower ~upper ~initial ~ops =
           if ns.pending <> 0 then
             err "op %d: %a node %d quota revoked with %+d unreconciled" i Oid.pp oid node
               ns.pending;
-          ns.q_up <- 0;
-          ns.q_down <- 0;
+          shift s ns ~up:(-ns.q_up) ~down:(-ns.q_down) ~pending:0;
           assert_state i oid s)
     ops;
-  (* End of run: every reservation resolved, every local delta reconciled. *)
+  (* End of run: every reservation resolved, every local delta reconciled.
+     Unresolved reservations are listed latest reserve first. *)
   Oid.Table.iter
     (fun oid s ->
-      List.iter
-        (fun (f, d) -> err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn_id.pp f)
-        s.res;
+      Txn_id.Table.fold (fun f (d, at) acc -> (at, f, d) :: acc) s.res []
+      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)
+      |> List.iter (fun (_, f, d) ->
+             err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn_id.pp f);
       Hashtbl.iter
         (fun n ns ->
           if ns.pending <> 0 then

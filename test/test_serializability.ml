@@ -10,6 +10,92 @@ let acc o p v = { oid = oid o; page = p; version = v }
 
 let is_serializable = function Serializable _ -> true | Cyclic _ -> false
 
+(* The reference [edges] must equal list for list: a quadratic builder in
+   which, per page, every reader scans the page's whole writer list for its
+   wr edges and again for its next writer. *)
+module PageMap = Map.Make (struct
+  type t = Oid.t * int
+
+  let compare (o1, p1) (o2, p2) =
+    let c = Oid.compare o1 o2 in
+    if c <> 0 then c else Int.compare p1 p2
+end)
+
+module EdgeSet = Set.Make (struct
+  type t = Txn_id.t * Txn_id.t
+
+  let compare (a1, b1) (a2, b2) =
+    let c = Txn_id.compare a1 a2 in
+    if c <> 0 then c else Txn_id.compare b1 b2
+end)
+
+let reference_edges roots =
+  let writers = ref PageMap.empty in
+  let readers = ref PageMap.empty in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun a ->
+          let key = (a.oid, a.page) in
+          let cur = Option.value ~default:[] (PageMap.find_opt key !writers) in
+          writers := PageMap.add key ((a.version, r.root) :: cur) !writers)
+        r.writes;
+      List.iter
+        (fun a ->
+          let key = (a.oid, a.page) in
+          let cur = Option.value ~default:[] (PageMap.find_opt key !readers) in
+          readers := PageMap.add key ((a.version, r.root) :: cur) !readers)
+        r.reads)
+    roots;
+  let acc = ref EdgeSet.empty in
+  let add a b = if not (Txn_id.equal a b) then acc := EdgeSet.add (a, b) !acc in
+  PageMap.iter
+    (fun key ws ->
+      let ws = List.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) ws in
+      let rec ww = function
+        | (_, w1) :: ((_, w2) :: _ as rest) ->
+            add w1 w2;
+            ww rest
+        | _ -> ()
+      in
+      ww ws;
+      let rs = Option.value ~default:[] (PageMap.find_opt key !readers) in
+      List.iter
+        (fun (rv, reader) ->
+          List.iter (fun (wv, writer) -> if wv = rv then add writer reader) ws;
+          let next =
+            List.fold_left
+              (fun best (wv, writer) ->
+                if wv > rv then
+                  match best with
+                  | Some (bv, _) when bv <= wv -> best
+                  | _ -> Some (wv, writer)
+                else best)
+              None ws
+          in
+          match next with Some (_, writer) -> add reader writer | None -> ())
+        rs)
+    !writers;
+  EdgeSet.elements !acc
+
+(* A [Serializable] witness lists every root once and respects every edge;
+   a [Cyclic] witness is a closed walk along edges. *)
+let witness_ok history es = function
+  | Serializable order ->
+      let pos = Txn_id.Table.create 64 in
+      List.iteri (fun i t -> Txn_id.Table.replace pos t i) order;
+      List.sort Txn_id.compare order
+      = List.sort_uniq Txn_id.compare (List.map (fun r -> r.root) history)
+      && List.for_all (fun (a, b) -> Txn_id.Table.find pos a < Txn_id.Table.find pos b) es
+  | Cyclic [] -> false
+  | Cyclic (first :: _ as cycle) ->
+      let rec closed = function
+        | [ last ] -> List.mem (last, first) es
+        | a :: (b :: _ as rest) -> List.mem (a, b) es && closed rest
+        | [] -> false
+      in
+      closed cycle
+
 let test_empty_history () =
   Alcotest.(check bool) "empty ok" true (is_serializable (check []))
 
@@ -179,6 +265,139 @@ let qcheck_checker_matches_brute_force =
       let checker = match check history with Serializable _ -> true | Cyclic _ -> false in
       brute = checker)
 
+let edge_pairs es = List.map (fun (a, b) -> (Txn_id.to_int a, Txn_id.to_int b)) es
+
+let test_edges_corner_cases () =
+  (* One page: roots 1 and 2 both write version 1 (a duplicate), 3 and 4
+     read it, 5 reads the initial version 0, 6 reads version 1 and writes
+     version 2, 7 writes version 3. Ties between the two writers of v1 go
+     to the one logged last (2), as in the reference. *)
+  let h =
+    [
+      { root = tid 1; reads = []; writes = [ acc 1 0 1 ] };
+      { root = tid 2; reads = []; writes = [ acc 1 0 1 ] };
+      { root = tid 3; reads = [ acc 1 0 1 ]; writes = [] };
+      { root = tid 4; reads = [ acc 1 0 1 ]; writes = [] };
+      { root = tid 5; reads = [ acc 1 0 0 ]; writes = [] };
+      { root = tid 6; reads = [ acc 1 0 1 ]; writes = [ acc 1 0 2 ] };
+      { root = tid 7; reads = []; writes = [ acc 1 0 3 ] };
+    ]
+  in
+  let expected =
+    [ (1, 3); (1, 4); (1, 6); (2, 1); (2, 3); (2, 4); (2, 6); (3, 6); (4, 6); (5, 2); (6, 7) ]
+  in
+  Alcotest.(check (list (pair int int))) "edges" expected (edge_pairs (edges h));
+  Alcotest.(check (list (pair int int))) "reference" expected (edge_pairs (reference_edges h));
+  Alcotest.(check bool) "witness" true (witness_ok h (edges h) (check h))
+
+(* Random histories of up to 200 roots over 1-4 pages of two objects. Each
+   step is one of: a write of a fresh version; a write that duplicates a
+   version already written to the page; a burst of up to 20 roots reading
+   one version; a read of the initial version 0; a read-modify-write of the
+   page by one root. Reads pick any version of the page, so most such
+   histories are cyclic. A [serial] history runs its steps root by root,
+   writes only fresh versions and reads only the latest one, so it is
+   serializable. *)
+let gen_history =
+  QCheck.Gen.(
+    let* n_roots = int_range 1 200 in
+    let* n_pages = int_range 1 4 in
+    let* serial = bool in
+    let* steps =
+      list_size (int_range 0 300)
+        (quad (int_bound 4) (int_bound (n_roots - 1)) (int_bound (n_pages - 1))
+           (pair (int_bound 1000) (int_range 1 20)))
+    in
+    return (n_roots, serial, steps))
+
+let build_history (n_roots, serial, steps) =
+  let steps =
+    if serial then List.stable_sort (fun (_, r1, _, _) (_, r2, _, _) -> Int.compare r1 r2) steps
+    else steps
+  in
+  let produced = Array.make 4 [] and next = ref 0 in
+  let reads = Array.make n_roots [] and writes = Array.make n_roots [] in
+  let access p version = acc (p mod 2) (p / 2) version in
+  let read root p v = reads.(root) <- access p v :: reads.(root) in
+  let write root p v =
+    produced.(p) <- v :: produced.(p);
+    writes.(root) <- access p v :: writes.(root)
+  in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let pick p k =
+    match produced.(p) with
+    | [] -> 0
+    | v :: _ when serial -> v
+    | vs -> List.nth vs (k mod List.length vs)
+  in
+  List.iter
+    (fun (kind, root, p, (k, burst)) ->
+      match (kind, serial) with
+      | 0, _ | 1, true -> write root p (fresh ())
+      | 1, false -> write root p (if produced.(p) = [] then fresh () else pick p k)
+      | 2, false ->
+          let v = pick p k in
+          for j = 0 to burst - 1 do
+            read ((root + j) mod n_roots) p v
+          done
+      | (2 | 3), true -> read root p (pick p k)
+      | 3, false -> read root p 0
+      | _ ->
+          read root p (pick p k);
+          write root p (fresh ()))
+    steps;
+  List.init n_roots (fun i -> { root = tid i; reads = reads.(i); writes = writes.(i) })
+
+let qcheck_edges_match_reference =
+  QCheck.Test.make ~name:"edges equal the reference; witnesses hold" ~count:300
+    (QCheck.make
+       ~print:(fun (n, serial, steps) ->
+         Printf.sprintf "<%d roots, serial %b, %d steps>" n serial (List.length steps))
+       gen_history)
+    (fun ((_, serial, _) as input) ->
+      let h = build_history input in
+      let es = edges h in
+      let verdict = check h in
+      es = reference_edges h
+      && witness_ok h es verdict
+      && ((not serial) || is_serializable verdict))
+
+(* Run [f] on a fresh fiber whose stack may not grow past [words]: a
+   recursion as deep as the history raises [Stack_overflow]. *)
+let with_stack_limit words f =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.stack_limit = words };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Effect.Deep.match_with f () { retc = Fun.id; exnc = raise; effc = (fun _ -> None) })
+
+let test_hot_page () =
+  (* Writers 0..49_999 write versions 1..50_000 of one page; reader
+     50_000 + i reads version i mod 50_000. Edges: 49_999 ww; 2 wr for each
+     version 1..49_999 (version 0 has no writer); 1 rw per reader, since
+     every version read has a successor. *)
+  let writer i = { root = tid i; reads = []; writes = [ acc 0 0 (i + 1) ] } in
+  let reader i = { root = tid (50_000 + i); reads = [ acc 0 0 (i mod 50_000) ]; writes = [] } in
+  let h = List.init 50_000 writer @ List.init 100_000 reader in
+  Alcotest.(check int) "edge count" (49_999 + (2 * 49_999) + 100_000) (List.length (edges h));
+  match check h with
+  | Serializable order -> Alcotest.(check int) "complete witness" 150_000 (List.length order)
+  | Cyclic _ -> Alcotest.fail "must be serializable"
+
+let test_deep_chain () =
+  (* A 200k-root ww chain: the only witness is the chain itself, and the
+     search must find it within a 64k-word (512 KiB) stack. *)
+  let n = 200_000 in
+  let h = List.init n (fun i -> { root = tid i; reads = []; writes = [ acc 0 0 (i + 1) ] }) in
+  match with_stack_limit (1 lsl 16) (fun () -> check h) with
+  | Serializable order ->
+      Alcotest.(check bool) "chain order" true (List.map Txn_id.to_int order = List.init n Fun.id)
+  | Cyclic _ -> Alcotest.fail "must be serializable"
+
 let tests =
   [
     ( "serializability",
@@ -193,5 +412,9 @@ let tests =
         Alcotest.test_case "self access" `Quick test_self_access_no_edge;
         Alcotest.test_case "witness complete" `Quick test_witness_order_complete;
         QCheck_alcotest.to_alcotest qcheck_checker_matches_brute_force;
+        Alcotest.test_case "edges corner cases" `Quick test_edges_corner_cases;
+        QCheck_alcotest.to_alcotest qcheck_edges_match_reference;
+        Alcotest.test_case "hot page edge count" `Quick test_hot_page;
+        Alcotest.test_case "deep chain bounded stack" `Quick test_deep_chain;
       ] );
   ]
