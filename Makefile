@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test perf-smoke bench figures examples chaos crash-chaos partition partition-smoke lease cache cache-smoke batch scale scale-smoke ship ship-smoke escrow escrow-smoke determinism check-links doc clean
+.PHONY: all build test perf-smoke bench figures examples chaos crash-chaos partition partition-smoke lease cache cache-smoke batch scale scale-smoke ship ship-smoke escrow escrow-smoke determinism profile check-links doc clean
 
 all: build
 
@@ -102,6 +102,14 @@ escrow-smoke:
 	dune exec bin/lotec_sim.exe -- escrow -p lotec --skew 1.2 \
 		--assert-min-time-reduction 25 \
 		--json BENCH_escrow.json
+
+# Sampling profiler over one streaming scale point: prints the top self and
+# inclusive frames. A diagnostic, not a gate; CI does not run it. Override
+# the point with e.g. PROF_ARGS="100000 64 lotec" (roots, nodes, protocol).
+PROF_ARGS = 40000 64 lotec
+
+profile:
+	dune exec tools/prof/prof.exe -- $(PROF_ARGS)
 
 # Re-run the deterministic goldens with OCaml's randomized hashing turned
 # on (OCAMLRUNPARAM=R): any Hashtbl-iteration-order leak into dumps,

@@ -47,7 +47,7 @@ type entry = {
   mutable waiting : waiter list;  (* FIFO; upgrades are inserted at the front *)
   page_nodes : int array;
   page_versions : int array;
-  mutable copyset : int list;  (* ascending *)
+  mutable copyset : Bytes.t;  (* bitset over node ids, grown on demand *)
   mutable escrow : escrow_state option;
 }
 
@@ -72,11 +72,20 @@ let remove_wait t f oid =
     (if Oid.Set.is_empty s then Txn_id.Map.remove f t.waiting_on
      else Txn_id.Map.add f s t.waiting_on)
 
+let note_cached_entry e ~node =
+  let byte = node lsr 3 in
+  if byte >= Bytes.length e.copyset then begin
+    let bigger = Bytes.make (max (byte + 1) (2 * Bytes.length e.copyset)) '\000' in
+    Bytes.blit e.copyset 0 bigger 0 (Bytes.length e.copyset);
+    e.copyset <- bigger
+  end;
+  Bytes.set_uint8 e.copyset byte (Bytes.get_uint8 e.copyset byte lor (1 lsl (node land 7)))
+
 let register_object t oid ~pages ~initial_node =
   if Oid.Table.mem t.entries oid then
     invalid_arg (Format.asprintf "Directory.register_object: duplicate %a" Oid.pp oid);
   if pages <= 0 then invalid_arg "Directory.register_object: pages must be positive";
-  Oid.Table.add t.entries oid
+  let e =
     {
       oid;
       state = Free;
@@ -84,9 +93,12 @@ let register_object t oid ~pages ~initial_node =
       waiting = [];
       page_nodes = Array.make pages initial_node;
       page_versions = Array.make pages 0;
-      copyset = [ initial_node ];
+      copyset = Bytes.empty;
       escrow = None;
     }
+  in
+  note_cached_entry e ~node:initial_node;
+  Oid.Table.add t.entries oid e
 
 let get t oid =
   match Oid.Table.find_opt t.entries oid with
@@ -382,11 +394,16 @@ let page_map t oid =
   let e = get t oid in
   (Array.copy e.page_nodes, Array.copy e.page_versions)
 
-let note_cached t oid ~node =
-  let e = get t oid in
-  if not (List.mem node e.copyset) then e.copyset <- List.sort Int.compare (node :: e.copyset)
+let note_cached t oid ~node = note_cached_entry (get t oid) ~node
 
-let copyset t oid = (get t oid).copyset
+let copyset t oid =
+  let bits = (get t oid).copyset in
+  let nodes = ref [] in
+  for node = (8 * Bytes.length bits) - 1 downto 0 do
+    if Bytes.get_uint8 bits (node lsr 3) land (1 lsl (node land 7)) <> 0 then
+      nodes := node :: !nodes
+  done;
+  !nodes
 
 let object_count t = Oid.Table.length t.entries
 

@@ -1,7 +1,7 @@
 type t = {
   page_size : int;
   offsets : int array;  (* byte offset of each attribute *)
-  sizes : int array;
+  attr_pages : int list array;  (* pages each attribute's extent touches *)
   total_bytes : int;
 }
 
@@ -9,14 +9,16 @@ let create ~page_size attrs =
   if page_size <= 0 then invalid_arg "Layout.create: page_size must be positive";
   let n = Array.length attrs in
   let offsets = Array.make n 0 in
-  let sizes = Array.make n 0 in
+  let attr_pages = Array.make n [] in
   let cursor = ref 0 in
   for i = 0 to n - 1 do
+    let size = attrs.(i).Attribute.size_bytes in
+    let first = !cursor / page_size and last = (!cursor + size - 1) / page_size in
     offsets.(i) <- !cursor;
-    sizes.(i) <- attrs.(i).Attribute.size_bytes;
-    cursor := !cursor + attrs.(i).Attribute.size_bytes
+    attr_pages.(i) <- List.init (last - first + 1) (fun k -> first + k);
+    cursor := !cursor + size
   done;
-  { page_size; offsets; sizes; total_bytes = !cursor }
+  { page_size; offsets; attr_pages; total_bytes = !cursor }
 
 let page_size t = t.page_size
 
@@ -34,9 +36,7 @@ let offset t a =
 
 let pages_of_attr t a =
   check_attr t a;
-  let first = t.offsets.(a) / t.page_size in
-  let last = (t.offsets.(a) + t.sizes.(a) - 1) / t.page_size in
-  List.init (last - first + 1) (fun i -> first + i)
+  t.attr_pages.(a)
 
 let pages_of_attrs t attrs =
   let module IS = Set.Make (Int) in

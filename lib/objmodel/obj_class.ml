@@ -13,7 +13,9 @@ type t = {
   compiled : compiled option;
 }
 
-and compiled = { layout : Layout.t; table : (string, compiled_method) Hashtbl.t }
+(* A class has a handful of methods: a linear scan in declaration order beats
+   hashing the name on every invocation. *)
+and compiled = { layout : Layout.t; table : compiled_method array }
 
 let define ~name ~attrs ~methods ~ref_slots =
   if ref_slots < 0 then invalid_arg "Obj_class.define: negative ref_slots";
@@ -54,14 +56,15 @@ let define ~name ~attrs ~methods ~ref_slots =
 
 let compile ~page_size t =
   let layout = Layout.create ~page_size t.attrs in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun ir ->
-      let summary = Access_analysis.analyse ir in
-      let page_summary = Access_analysis.pages layout summary in
-      Hashtbl.replace table ir.Method_ir.name
-        { ir; summary; page_summary; cpu_statements = Method_ir.statement_count ir })
-    t.method_irs;
+  let table =
+    Array.of_list
+      (List.map
+         (fun ir ->
+           let summary = Access_analysis.analyse ir in
+           let page_summary = Access_analysis.pages layout summary in
+           { ir; summary; page_summary; cpu_statements = Method_ir.statement_count ir })
+         t.method_irs)
+  in
   { t with compiled = Some { layout; table } }
 
 let name t = t.name
@@ -77,14 +80,16 @@ let layout t = (compiled_exn t).layout
 let page_count t = Layout.page_count (layout t)
 
 let find_method t m_name =
-  let c = compiled_exn t in
-  match Hashtbl.find_opt c.table m_name with
-  | Some m -> m
-  | None -> raise Not_found
+  let table = (compiled_exn t).table in
+  let rec scan i =
+    if i = Array.length table then raise Not_found
+    else if String.equal table.(i).ir.Method_ir.name m_name then table.(i)
+    else scan (i + 1)
+  in
+  scan 0
 
 let methods t =
-  let c = compiled_exn t in
-  Hashtbl.fold (fun _ m acc -> m :: acc) c.table []
+  Array.to_list (compiled_exn t).table
   |> List.sort (fun a b -> compare a.ir.Method_ir.name b.ir.Method_ir.name)
 
 let method_names t = List.map (fun m -> m.ir.Method_ir.name) (methods t)

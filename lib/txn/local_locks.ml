@@ -16,24 +16,23 @@ type outcome = Granted | Queued | Not_cached | Needs_upgrade
 type t = {
   tree : Txn_tree.t;
   (* An object may be cached by several co-located families simultaneously
-     (concurrent global readers), hence a list. *)
-  entries : family_entry list ref Oid.Table.t;
+     (concurrent global readers), hence a list. A key exists only while some
+     family caches the object. *)
+  entries : family_entry list Oid.Table.t;
+  (* family -> its cached entries, newest grant first. Pre-commit, abort and
+     root release walk this index, so their cost follows the family's own
+     footprint rather than every object the site has ever cached. *)
+  families : (Oid.t * family_entry) list Txn_id.Table.t;
 }
 
-let create tree = { tree; entries = Oid.Table.create 128 }
-
-let entries_for t oid =
-  match Oid.Table.find_opt t.entries oid with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Oid.Table.add t.entries oid l;
-      l
+let create tree = { tree; entries = Oid.Table.create 128; families = Txn_id.Table.create 64 }
 
 let find_family_entry t oid ~family =
   match Oid.Table.find_opt t.entries oid with
   | None -> None
-  | Some l -> List.find_opt (fun e -> Txn_id.equal e.f_root family) !l
+  | Some l -> List.find_opt (fun e -> Txn_id.equal e.f_root family) l
+
+let object_count t = Oid.Table.length t.entries
 
 (* Rule 1, with the permissive ancestor-hold extension: [txn] may take the
    lock if (a) every retainer is an ancestor of [txn], and (b) no
@@ -89,9 +88,13 @@ let install_grant t oid ~txn ~mode =
   (match find_family_entry t oid ~family with
   | Some _ -> invalid_arg "Local_locks.install_grant: family already caches this object"
   | None -> ());
-  let l = entries_for t oid in
-  l := { f_root = family; f_mode = mode; holders = [ (txn, mode) ]; retained = []; waiters = [] }
-       :: !l
+  let e =
+    { f_root = family; f_mode = mode; holders = [ (txn, mode) ]; retained = []; waiters = [] }
+  in
+  let others = Option.value ~default:[] (Oid.Table.find_opt t.entries oid) in
+  Oid.Table.replace t.entries oid (e :: others);
+  let mine = Option.value ~default:[] (Txn_id.Table.find_opt t.families family) in
+  Txn_id.Table.replace t.families family ((oid, e) :: mine)
 
 let upgrade_granted t oid ~txn =
   let family = Txn_tree.root_of t.tree txn in
@@ -116,11 +119,20 @@ let held_mode t oid ~txn =
 let retainers t oid ~family =
   match find_family_entry t oid ~family with None -> [] | Some e -> e.retained
 
-(* Iterate over every entry belonging to [family]. *)
+(* Iterate over every entry belonging to [family], in grant-install order. *)
 let iter_family_entries t ~family f =
-  Oid.Table.iter
-    (fun oid l -> List.iter (fun e -> if Txn_id.equal e.f_root family then f oid e) !l)
-    t.entries
+  match Txn_id.Table.find_opt t.families family with
+  | None -> ()
+  | Some l -> List.iter (fun (oid, e) -> f oid e) (List.rev l)
+
+(* Drop [family]'s entry on [oid]; the object's key goes with its last entry. *)
+let drop_entry t oid ~family =
+  match Oid.Table.find_opt t.entries oid with
+  | None -> ()
+  | Some l -> (
+      match List.filter (fun e -> not (Txn_id.equal e.f_root family)) l with
+      | [] -> Oid.Table.remove t.entries oid
+      | rest -> Oid.Table.replace t.entries oid rest)
 
 let add_retained e txn mode =
   let prev = List.assoc_opt txn e.retained in
@@ -165,21 +177,28 @@ let abort t txn ~to_release =
           empty_objects := oid :: !empty_objects
         else wake_grantable t e
       end);
-  List.iter
-    (fun oid ->
-      let l = entries_for t oid in
-      l := List.filter (fun e -> not (Txn_id.equal e.f_root family)) !l;
-      to_release oid)
-    !empty_objects
+  let emptied = List.rev !empty_objects in
+  if emptied <> [] then begin
+    let kept (oid, _) = not (List.exists (Oid.equal oid) emptied) in
+    (match Txn_id.Table.find_opt t.families family with
+    | None -> ()
+    | Some l -> (
+        match List.filter kept l with
+        | [] -> Txn_id.Table.remove t.families family
+        | rest -> Txn_id.Table.replace t.families family rest));
+    List.iter
+      (fun oid ->
+        drop_entry t oid ~family;
+        to_release oid)
+      emptied
+  end
 
 let root_release t ~root =
   let released = ref [] in
-  iter_family_entries t ~family:root (fun oid _ -> released := oid :: !released);
-  List.iter
-    (fun oid ->
-      let l = entries_for t oid in
-      l := List.filter (fun e -> not (Txn_id.equal e.f_root root)) !l)
-    !released;
+  iter_family_entries t ~family:root (fun oid _ ->
+      drop_entry t oid ~family:root;
+      released := oid :: !released);
+  Txn_id.Table.remove t.families root;
   List.sort_uniq Oid.compare !released
 
 let objects_of_family t ~family =

@@ -73,7 +73,8 @@ val abort : t -> Txn_id.t -> to_release:(Objmodel.Oid.t -> unit) -> unit
     retained: if an ancestor retains it, the ancestor keeps it; otherwise, if
     the family no longer has any holder, retainer, or waiter on the object,
     the cached entry is dropped and [to_release] is called (the caller
-    releases the lock globally). Waiters that become grantable are woken. *)
+    releases the lock globally), in the order the family's grants were
+    installed. Waiters that become grantable are woken. *)
 
 val root_release : t -> root:Txn_id.t -> Objmodel.Oid.t list
 (** Root commit (or root abort, after undo): drop every cached entry of the
@@ -82,3 +83,7 @@ val root_release : t -> root:Txn_id.t -> Objmodel.Oid.t list
 
 val objects_of_family : t -> family:Txn_id.t -> Objmodel.Oid.t list
 (** Objects on which the family currently holds a cached global lock. *)
+
+val object_count : t -> int
+(** Objects some family currently caches here. An object's entry goes with
+    its last family's, so this returns to 0 once every family has released. *)

@@ -194,6 +194,17 @@ let test_copyset () =
   Gdo.Directory.note_cached d (oid 0) ~node:3;
   Alcotest.(check (list int)) "copyset sorted dedup" [ 0; 1; 3 ] (Gdo.Directory.copyset d (oid 0))
 
+(* note_cached keeps the copyset an ascending, duplicate-free list whatever
+   the order and repetition of notes, including nodes past the bitset's
+   first growth. *)
+let qcheck_copyset_model =
+  QCheck.Test.make ~name:"copyset equals sorted distinct notes" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 80) (int_range 0 200))
+    (fun nodes ->
+      let d = make ~objects:1 () in
+      List.iter (fun node -> Gdo.Directory.note_cached d (oid 0) ~node) nodes;
+      Gdo.Directory.copyset d (oid 0) = List.sort_uniq Int.compare (0 :: nodes))
+
 let test_waits_for_edges () =
   let d = make () in
   ignore (acquire d 0 ~family:(fam 1) ~node:0 ~mode:Lock.Write);
@@ -254,6 +265,7 @@ let tests =
         Alcotest.test_case "dirty updates page map" `Quick test_dirty_updates_page_map;
         Alcotest.test_case "release non-holder noop" `Quick test_release_not_holder_noop;
         Alcotest.test_case "copyset" `Quick test_copyset;
+        QCheck_alcotest.to_alcotest qcheck_copyset_model;
         Alcotest.test_case "waits-for edges" `Quick test_waits_for_edges;
         Alcotest.test_case "grant copies page map" `Quick test_grant_carries_page_map_copy;
         Alcotest.test_case "acquire idempotent while queued" `Quick

@@ -196,6 +196,96 @@ let test_store_dump_deterministic () =
   Alcotest.(check bool) "O2 before O7 before O11" true
     (idx "O2" >= 0 && idx "O7" > idx "O2" && idx "O11" > idx "O7")
 
+(* Page_store against an assoc-list model. Operations draw from a few dense
+   oids plus a sparse one (5000) and from pages past the store's initial
+   per-object size, so both levels of the version arrays grow mid-run. *)
+type store_op =
+  | Receive of int * int * int
+  | Write of int * int * int
+  | Restore of int * int * int
+
+let qcheck_store_model =
+  let open QCheck.Gen in
+  let obj = oneof [ int_range 0 6; return 5000 ] and page = int_range 0 40 in
+  let version = int_range 0 30 in
+  let op =
+    oneof
+      [
+        map3 (fun o p v -> Receive (o, p, v)) obj page version;
+        map3 (fun o p v -> Write (o, p, v)) obj page version;
+        map3
+          (fun o p v -> Restore (o, p, v))
+          obj page
+          (oneof [ return Dsm.Page_store.absent; version ]);
+      ]
+  in
+  let print = function
+    | Receive (o, p, v) -> Printf.sprintf "receive O%d p%d v%d" o p v
+    | Write (o, p, v) -> Printf.sprintf "write O%d p%d v%d" o p v
+    | Restore (o, p, v) -> Printf.sprintf "restore O%d p%d v%d" o p v
+  in
+  QCheck.Test.make ~name:"page store matches assoc-list model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 60) op))
+    (fun ops ->
+      let s = Dsm.Page_store.create ~node:3 in
+      let model = ref [] in
+      let get o p = Option.value ~default:Dsm.Page_store.absent (List.assoc_opt (o, p) !model) in
+      let set o p v =
+        model := List.remove_assoc (o, p) !model;
+        if v <> Dsm.Page_store.absent then model := ((o, p), v) :: !model
+      in
+      let step ok = function
+        | Receive (o, p, v) ->
+            Dsm.Page_store.receive s (oid o) ~page:p ~version:v;
+            if v > get o p then set o p v;
+            ok
+        | Write (o, p, v) ->
+            let prev = get o p in
+            set o p v;
+            ok && Dsm.Page_store.write s (oid o) ~page:p ~new_version:v = prev
+        | Restore (o, p, v) ->
+            Dsm.Page_store.restore s (oid o) ~page:p ~version:v;
+            set o p v;
+            ok
+      in
+      let ok = List.fold_left step true ops in
+      let objects = List.sort_uniq Int.compare (List.map (fun ((o, _), _) -> o) !model) in
+      let pages o =
+        List.filter_map (fun ((o', p), v) -> if o' = o then Some (p, v) else None) !model
+        |> List.sort compare
+      in
+      let dump =
+        "page store (node 3):\n"
+        ^ String.concat ""
+            (List.map
+               (fun o ->
+                 Printf.sprintf "  O%d:%s\n" o
+                   (String.concat ""
+                      (List.map (fun (p, v) -> Printf.sprintf " %d@v%d" p v) (pages o))))
+               objects)
+      in
+      ok
+      && List.for_all
+           (fun o -> Dsm.Page_store.cached_pages s (oid o) = pages o)
+           (5000 :: List.init 7 Fun.id)
+      && List.map Oid.to_int (Dsm.Page_store.cached_objects s) = objects
+      && Dsm.Page_store.dump s = dump)
+
+let test_store_sparse_growth () =
+  let s = Dsm.Page_store.create ~node:0 in
+  Dsm.Page_store.receive s (oid 5000) ~page:1000 ~version:7;
+  Alcotest.(check int) "sparse oid, far page" 7 (Dsm.Page_store.version s (oid 5000) ~page:1000);
+  Alcotest.(check int) "neighbour absent" Dsm.Page_store.absent
+    (Dsm.Page_store.version s (oid 4999) ~page:1000);
+  Alcotest.(check int) "page past the array" Dsm.Page_store.absent
+    (Dsm.Page_store.version s (oid 5000) ~page:100_000);
+  Dsm.Page_store.restore s (oid 6000) ~page:3 ~version:Dsm.Page_store.absent;
+  Alcotest.(check (list int)) "restore to absent caches nothing" [ 5000 ]
+    (List.map Oid.to_int (Dsm.Page_store.cached_objects s));
+  Dsm.Page_store.restore s (oid 5000) ~page:1000 ~version:Dsm.Page_store.absent;
+  Alcotest.(check (list int)) "emptied object no longer listed" []
+    (List.map Oid.to_int (Dsm.Page_store.cached_objects s))
+
 (* ---------- Metrics ---------- *)
 
 let test_metrics_messages () =
@@ -294,6 +384,8 @@ let tests =
         Alcotest.test_case "store is_current" `Quick test_store_is_current;
         Alcotest.test_case "store enumeration" `Quick test_store_enumeration;
         Alcotest.test_case "store dump deterministic" `Quick test_store_dump_deterministic;
+        QCheck_alcotest.to_alcotest qcheck_store_model;
+        Alcotest.test_case "store sparse growth" `Quick test_store_sparse_growth;
         Alcotest.test_case "metrics messages" `Quick test_metrics_messages;
         Alcotest.test_case "metrics time model" `Quick test_metrics_time_model;
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;

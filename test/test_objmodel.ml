@@ -47,6 +47,26 @@ let test_layout_page_spans () =
   Alcotest.(check (list int)) "a3" [ 2; 3 ] (Layout.pages_of_attr l 3);
   Alcotest.(check int) "page count" 4 (Layout.page_count l)
 
+(* The precomputed page lists equal the extent formula: attribute [a] at
+   byte offset [o] with size [s] touches pages [o / ps] .. [(o + s - 1) / ps].
+   Sizes up to three pages make most layouts straddle page boundaries. *)
+let qcheck_pages_of_attr_formula =
+  let gen =
+    QCheck.Gen.(pair (int_range 1 512) (list_size (int_range 1 20) (int_range 1 1536)))
+  in
+  QCheck.Test.make ~name:"pages_of_attr matches the extent formula" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair int (list int)) gen)
+    (fun (page_size, sizes) ->
+      let l = Layout.create ~page_size (attrs_of_sizes sizes) in
+      let rec check a offset = function
+        | [] -> true
+        | size :: rest ->
+            let first = offset / page_size and last = (offset + size - 1) / page_size in
+            Layout.pages_of_attr l a = List.init (last - first + 1) (fun k -> first + k)
+            && check (a + 1) (offset + size) rest
+      in
+      check 0 0 sizes)
+
 let test_layout_union () =
   let l = Layout.create ~page_size:100 (attrs_of_sizes [ 90; 20; 100; 95 ]) in
   Alcotest.(check (list int)) "union deduped" [ 0; 1; 2 ] (Layout.pages_of_attrs l [ 0; 1; 2 ]);
@@ -258,6 +278,28 @@ let test_class_missing_method () =
   let k = Obj_class.compile ~page_size:100 (simple_class ()) in
   Alcotest.check_raises "not found" Not_found (fun () -> ignore (Obj_class.find_method k "nope"))
 
+(* Lookup scans the methods in declaration order; [methods] still lists
+   them by name, and a name that is only a prefix of a method is unknown. *)
+let test_class_find_method_scan () =
+  let names = [ "zeta"; "alpha"; "mid"; "alphabet" ] in
+  let k =
+    Obj_class.compile ~page_size:100
+      (Obj_class.define ~name:"Many"
+         ~attrs:(attrs_of_sizes [ 10 ])
+         ~methods:(List.map (fun name -> Method_ir.make ~name ~body:[ Method_ir.Read 0 ]) names)
+         ~ref_slots:0)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check string) ("finds " ^ name) name
+        (Obj_class.find_method k name).Obj_class.ir.Method_ir.name)
+    names;
+  Alcotest.(check (list string)) "sorted names" [ "alpha"; "alphabet"; "mid"; "zeta" ]
+    (Obj_class.method_names k);
+  Alcotest.check_raises "prefix unknown" Not_found (fun () ->
+      ignore (Obj_class.find_method k "alph"));
+  Alcotest.check_raises "empty unknown" Not_found (fun () -> ignore (Obj_class.find_method k ""))
+
 (* ---------- Catalog ---------- *)
 
 let compiled_leaf name =
@@ -343,6 +385,7 @@ let tests =
         Alcotest.test_case "layout offsets" `Quick test_layout_sequential_offsets;
         Alcotest.test_case "layout page spans" `Quick test_layout_page_spans;
         Alcotest.test_case "layout union" `Quick test_layout_union;
+        QCheck_alcotest.to_alcotest qcheck_pages_of_attr_formula;
         Alcotest.test_case "layout empty object" `Quick test_layout_empty_object;
         Alcotest.test_case "layout bad page size" `Quick test_layout_bad_page_size;
         Alcotest.test_case "layout bad attr" `Quick test_layout_bad_attr;
@@ -360,6 +403,7 @@ let tests =
         Alcotest.test_case "class duplicate method" `Quick test_class_duplicate_method;
         Alcotest.test_case "class slot validation" `Quick test_class_slot_validation;
         Alcotest.test_case "class missing method" `Quick test_class_missing_method;
+        Alcotest.test_case "class find_method scan" `Quick test_class_find_method_scan;
         Alcotest.test_case "catalog basic" `Quick test_catalog_basic;
         Alcotest.test_case "catalog cycle" `Quick test_catalog_cycle_detection;
         Alcotest.test_case "catalog self loop" `Quick test_catalog_self_loop;

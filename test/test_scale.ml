@@ -169,6 +169,25 @@ let test_scale_determinism () =
         (totals.Dsm.Metrics.roots_committed + totals.Dsm.Metrics.roots_aborted))
     committed_golden
 
+(* Per-event cost must not grow with run length: bookkeeping whose cost
+   follows history (say, a lock table walked in full at every pre-commit)
+   shows up as allocation per dispatched event rising with the root count.
+   Words/event at 4N roots must stay within 10% of N's. *)
+let words_per_event roots =
+  let spec = Experiments.Scale.spec_for ~roots ~nodes:64 in
+  let row = Experiments.Scale.run_point ~protocol:Dsm.Protocol.Lotec ~spec () in
+  let p = row.Experiments.Scale.s_profile in
+  p.Experiments.Scale.alloc_mb *. 1e6
+  /. float_of_int (Sys.word_size / 8)
+  /. float_of_int p.Experiments.Scale.dispatched
+
+let test_flat_alloc_per_event () =
+  let small = words_per_event 10_000 in
+  let large = words_per_event 40_000 in
+  if large > 1.10 *. small then
+    Alcotest.failf "words/event grew with run length: %.1f at 10k roots, %.1f at 40k" small
+      large
+
 let tests =
   [
     ( "scale",
@@ -181,6 +200,7 @@ let tests =
         Alcotest.test_case "run_point profile" `Quick test_run_point_profile;
         Alcotest.test_case "engine bench + json" `Quick test_engine_bench_and_json;
         Alcotest.test_case "per_sec clamps" `Quick test_per_sec_clamps;
+        Alcotest.test_case "flat words per event" `Slow test_flat_alloc_per_event;
         Alcotest.test_case "100k determinism golden" `Slow test_scale_determinism;
       ] );
   ]

@@ -231,6 +231,88 @@ let test_ll_precommit_root_rejected () =
     (Invalid_argument "Local_locks.precommit: root transactions use root_release") (fun () ->
       Local_locks.precommit ll r)
 
+(* Two co-located families read the same objects; every disposition of
+   one family (pre-commit, abort, root release) must walk only its own
+   entries and leave the other's intact. *)
+let test_ll_colocated_families_isolated () =
+  let tree, ll = setup () in
+  let r1 = Txn_tree.create_root tree ~node:0 in
+  let r2 = Txn_tree.create_root tree ~node:0 in
+  let c1 = Txn_tree.create_child tree ~parent:r1 in
+  let c2 = Txn_tree.create_child tree ~parent:r2 in
+  List.iter
+    (fun o ->
+      Local_locks.install_grant ll (oid o) ~txn:c1 ~mode:Lock.Read;
+      Local_locks.install_grant ll (oid o) ~txn:c2 ~mode:Lock.Read)
+    [ 3; 1; 2 ];
+  let holds txn o = Local_locks.held_mode ll (oid o) ~txn = Some Lock.Read in
+  Local_locks.precommit ll c1;
+  Alcotest.(check bool) "c2 still holds all" true (List.for_all (holds c2) [ 1; 2; 3 ]);
+  Alcotest.(check bool) "r2 retains nothing" true
+    (List.for_all (fun o -> Local_locks.retainers ll (oid o) ~family:r2 = []) [ 1; 2; 3 ]);
+  let released = ref [] in
+  Local_locks.abort ll c2 ~to_release:(fun o -> released := Oid.to_int o :: !released);
+  Alcotest.(check (list int)) "r2 releases in grant-install order" [ 3; 1; 2 ]
+    (List.rev !released);
+  Alcotest.(check bool) "r1 keeps its entries" true
+    (List.for_all
+       (fun o ->
+         Local_locks.family_mode ll (oid o) ~family:r1 = Some Lock.Read
+         && Local_locks.retainers ll (oid o) ~family:r1 <> [])
+       [ 1; 2; 3 ]);
+  Alcotest.(check int) "objects still cached for r1" 3 (Local_locks.object_count ll);
+  (* Root release of a third family on a shared object spares r1 too. *)
+  let r3 = Txn_tree.create_root tree ~node:0 in
+  Local_locks.install_grant ll (oid 2) ~txn:r3 ~mode:Lock.Read;
+  Alcotest.(check (list int)) "r3 releases only its object" [ 2 ]
+    (List.map Oid.to_int (Local_locks.root_release ll ~root:r3));
+  Alcotest.(check (list int)) "r1 objects intact" [ 1; 2; 3 ]
+    (List.map Oid.to_int (Local_locks.objects_of_family ll ~family:r1))
+
+(* An abort whose lock an ancestor retains keeps the entry; the entry goes
+   only when the retaining ancestor itself aborts. *)
+let test_ll_abort_keeps_ancestor_retained_entry () =
+  let tree, ll = setup () in
+  let r = Txn_tree.create_root tree ~node:0 in
+  let c = Txn_tree.create_child tree ~parent:r in
+  let g1 = Txn_tree.create_child tree ~parent:c in
+  Local_locks.install_grant ll (oid 4) ~txn:g1 ~mode:Lock.Write;
+  Local_locks.precommit ll g1;
+  let g2 = Txn_tree.create_child tree ~parent:c in
+  Alcotest.(check bool) "g2 granted under c's retention" true
+    (Local_locks.acquire ll (oid 4) ~txn:g2 ~mode:Lock.Write ~wake:no_wake
+    = Local_locks.Granted);
+  let released = ref [] in
+  Local_locks.abort ll g2 ~to_release:(fun o -> released := o :: !released);
+  Alcotest.(check int) "no release while c retains" 0 (List.length !released);
+  Alcotest.(check int) "entry kept" 1 (Local_locks.object_count ll);
+  Alcotest.(check (list int)) "c still retains" [ Txn_id.to_int c ]
+    (List.map (fun (t, _) -> Txn_id.to_int t) (Local_locks.retainers ll (oid 4) ~family:r));
+  Local_locks.abort ll c ~to_release:(fun o -> released := o :: !released);
+  Alcotest.(check (list int)) "released with the retainer" [ 4 ]
+    (List.map Oid.to_int !released);
+  Alcotest.(check int) "table empty" 0 (Local_locks.object_count ll);
+  Alcotest.(check (list int)) "family owns nothing" []
+    (List.map Oid.to_int (Local_locks.objects_of_family ll ~family:r))
+
+(* Keys go with their last family entry: once every family has released,
+   the table holds no objects however many it has ever cached. *)
+let test_ll_table_empties_after_release () =
+  let tree, ll = setup () in
+  let roots = List.init 5 (fun _ -> Txn_tree.create_root tree ~node:0) in
+  List.iteri
+    (fun i r ->
+      let c = Txn_tree.create_child tree ~parent:r in
+      for o = i to i + 4 do
+        Local_locks.install_grant ll (oid o) ~txn:c ~mode:Lock.Read
+      done;
+      if i mod 2 = 0 then Local_locks.precommit ll c
+      else Local_locks.abort ll c ~to_release:(fun _ -> ()))
+    roots;
+  Alcotest.(check int) "precommitted families' objects cached" 9 (Local_locks.object_count ll);
+  List.iter (fun r -> ignore (Local_locks.root_release ll ~root:r)) roots;
+  Alcotest.(check int) "no objects left" 0 (Local_locks.object_count ll)
+
 (* ---------- Undo_log ---------- *)
 
 let test_undo_record_order () =
@@ -300,6 +382,12 @@ let tests =
         Alcotest.test_case "ll colocated readers" `Quick test_ll_two_colocated_reader_families;
         Alcotest.test_case "ll double install" `Quick test_ll_double_install_rejected;
         Alcotest.test_case "ll precommit root" `Quick test_ll_precommit_root_rejected;
+        Alcotest.test_case "ll co-located families isolated" `Quick
+          test_ll_colocated_families_isolated;
+        Alcotest.test_case "ll abort keeps retained entry" `Quick
+          test_ll_abort_keeps_ancestor_retained_entry;
+        Alcotest.test_case "ll table empties after release" `Quick
+          test_ll_table_empties_after_release;
         Alcotest.test_case "undo record order" `Quick test_undo_record_order;
         Alcotest.test_case "undo merge" `Quick test_undo_merge_keeps_child_newer;
         Alcotest.test_case "undo dirty pages" `Quick test_undo_dirty_pages_dedup;

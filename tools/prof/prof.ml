@@ -1,0 +1,56 @@
+(* Sampling profiler: runs one streaming scale point (LOTEC by default)
+   under a CPU-time interval timer and records the OCaml call stack at
+   every tick, then prints the frames seen most often on top of the stack
+   (self) and anywhere in it (inclusive). Stdlib and unix only; frames are
+   named from the executable's debug info.
+
+   Usage: prof.exe [ROOTS] [NODES] [PROTOCOL]   (default 40000 64 lotec) *)
+
+let interval_s = 0.001
+let depth = 64
+let samples = ref 0
+let self : (string, int) Hashtbl.t = Hashtbl.create 256
+let incl : (string, int) Hashtbl.t = Hashtbl.create 256
+let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+let frame slot =
+  match Printexc.Slot.name slot, Printexc.Slot.location slot with
+  | Some name, _ -> name
+  | None, Some l -> Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number
+  | None, None -> "?"
+
+let sample _ =
+  match Printexc.backtrace_slots (Printexc.get_callstack depth) with
+  | None -> ()
+  | Some slots ->
+      (* Slot 0 is this handler; the interrupted code starts at slot 1. *)
+      let frames = List.tl (List.map frame (Array.to_list slots)) in
+      if frames <> [] then begin
+        incr samples;
+        bump self (List.hd frames);
+        List.iter (bump incl) (List.sort_uniq String.compare frames)
+      end
+
+let top title tbl =
+  Printf.printf "\n%s (%d samples)\n" title !samples;
+  Hashtbl.fold (fun k n acc -> (n, k) :: acc) tbl []
+  |> List.sort (fun a b -> compare b a)
+  |> List.iteri (fun i (n, k) ->
+         if i < 25 then
+           Printf.printf "  %5.1f%%  %6d  %s\n" (100. *. float n /. float (max 1 !samples)) n k)
+
+let () =
+  let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
+  let roots = int_of_string (arg 1 "40000") and nodes = int_of_string (arg 2 "64") in
+  let protocol =
+    match Dsm.Protocol.of_string (arg 3 "lotec") with Ok p -> p | Error e -> failwith e
+  in
+  let spec = Experiments.Scale.spec_for ~roots ~nodes in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle sample);
+  let timer v = ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = v; it_value = v }) in
+  timer interval_s;
+  let row = Experiments.Scale.run_point ~protocol ~spec () in
+  timer 0.0;
+  Format.printf "%a@." Experiments.Scale.pp_profile row.Experiments.Scale.s_profile;
+  top "self" self;
+  top "inclusive" incl
