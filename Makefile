@@ -39,27 +39,31 @@ chaos:
 crash-chaos:
 	dune exec bin/lotec_sim.exe -- chaos --crash
 
+# The lever sweeps: one lever (see Experiments.Ab) against its baseline
+# mode over the lever's protocols x axis points x modes. Every row asserts
+# serializability, root accounting, exact wire-ledger reconciliation and
+# all-zero counters for each subsystem left off. The *-smoke targets run
+# the LOTEC rows with --gate: the thresholds live with the lever
+# (lib/experiments/*.ml), and the command exits 1 when one is missed.
+
+# Read leases: off vs ttl vs adaptive across read-only method fractions.
 lease:
-	dune exec bin/lotec_sim.exe -- lease
+	dune exec bin/lotec_sim.exe -- ab lease
 
-# Method-result cache sweep: baseline vs lease-only vs lease+cache on the
-# web-serving workload; every case asserts serializability and exact wire
-# ledger reconciliation. Writes BENCH_cache.json.
+# Method-result cache: baseline vs lease-only vs lease+cache on the
+# web-serving workload. Writes BENCH_cache.json.
 cache:
-	dune exec bin/lotec_sim.exe -- cache --json BENCH_cache.json
+	dune exec bin/lotec_sim.exe -- ab cache --json BENCH_cache.json
 
-# CI gate: the cached LOTEC rows must reach a 50% hit rate and a 5x total
+# CI gate: the cached LOTEC rows reach a 50% hit rate and a 5x total
 # message reduction (vs everything-off) at a >= 0.95 request read share.
 cache-smoke:
-	dune exec bin/lotec_sim.exe -- cache -p lotec \
-		--assert-min-hit-rate 0.5 --assert-min-message-factor 5 \
-		--json BENCH_cache.json
+	dune exec bin/lotec_sim.exe -- ab cache -p lotec --gate --json BENCH_cache.json
 
-# Message-combining sweep: protocols x batching policy under light loss;
-# asserts the wire ledger reconciles exactly with riders included and that
-# a batching-off run records zero combining activity.
+# Message combining: batching off vs all under light loss (riders must
+# reconcile in the wire ledger). Writes BENCH_batch.json.
 batch:
-	dune exec bin/lotec_sim.exe -- batch --json BENCH_batch.json
+	dune exec bin/lotec_sim.exe -- ab batch --json BENCH_batch.json
 
 # Scale sweep: engine micro-benchmarks plus the default 100k/300k/1M-root
 # streaming runs across all four protocols. Writes BENCH_engine.json.
@@ -74,34 +78,26 @@ scale-smoke:
 		--assert-min-events-per-sec 100000 --assert-max-heap-mb 512 \
 		--json BENCH_engine.json
 
-# Function-shipping sweep: every protocol x locality skew x software cost,
-# each case run with shipping off (the data-ship baseline) and on; every
-# case asserts serializability and exact wire ledger reconciliation
-# (Ship_invoke/Ship_reply rows included). Writes BENCH_ship.json.
+# Function shipping vs the data-ship baseline: every protocol x locality
+# skew x software cost. Writes BENCH_ship.json.
 ship:
-	dune exec bin/lotec_sim.exe -- ship --json BENCH_ship.json
+	dune exec bin/lotec_sim.exe -- ab ship --json BENCH_ship.json
 
-# CI gate: on the skewed workload at the cheapest messaging, LOTEC with
-# shipping must move >= 30% fewer bytes than its data-ship baseline with
+# CI gate: at the strongest skew and the cheapest messaging, LOTEC with
+# shipping moves >= 30% fewer bytes than its data-ship baseline with
 # completion no worse than +2%.
 ship-smoke:
-	dune exec bin/lotec_sim.exe -- ship -p lotec --skew 1.5 --software-cost 20 \
-		--assert-min-bytes-reduction 30 --assert-max-time-ratio 1.02 \
-		--json BENCH_ship.json
+	dune exec bin/lotec_sim.exe -- ab ship -p lotec --gate --json BENCH_ship.json
 
-# Escrow-commit sweep: every protocol x Zipf skew on the bank workload,
-# each case run with exclusive locking (baseline) and escrow delta locks;
-# every case asserts serializability, bounded escrow-ledger replay and
-# exact wire ledger reconciliation. Writes BENCH_escrow.json.
+# Escrow delta locks vs the exclusive-locking baseline on the bank
+# workload: every protocol x Zipf skew. Writes BENCH_escrow.json.
 escrow:
-	dune exec bin/lotec_sim.exe -- escrow --json BENCH_escrow.json
+	dune exec bin/lotec_sim.exe -- ab escrow --json BENCH_escrow.json
 
-# CI gate: on the hottest-skew bank workload, LOTEC with escrow must cut
-# completion time by >= 25% vs its exclusive-locking baseline.
+# CI gate: at the hottest skew, LOTEC with escrow cuts completion time by
+# >= 25% vs its exclusive-locking baseline.
 escrow-smoke:
-	dune exec bin/lotec_sim.exe -- escrow -p lotec --skew 1.2 \
-		--assert-min-time-reduction 25 \
-		--json BENCH_escrow.json
+	dune exec bin/lotec_sim.exe -- ab escrow -p lotec --gate --json BENCH_escrow.json
 
 # Sampling profiler over one streaming scale point: prints the top self and
 # inclusive frames. A diagnostic, not a gate; CI does not run it. Override

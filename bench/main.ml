@@ -62,33 +62,23 @@ let write_artifact file contents =
   close_out oc;
   Format.printf "wrote %s (%d bytes)@.@." file (String.length contents)
 
-(* The read-lease sweep (leases off vs TTL vs adaptive, all protocols),
-   printed and also written as BENCH_lease.json so the perf trajectory is
-   machine-readable across revisions. *)
-let lease_json_file = "BENCH_lease.json"
+(* The five lever sweeps (leases, the method cache, message combining,
+   function shipping, escrow), each against its baseline mode, printed and
+   written as BENCH_<lever>.json: the machine-readable record of what each
+   optional subsystem buys on its own workload (see EXPERIMENTS.md). *)
+let levers =
+  Experiments.
+    [ Lease.lever; Method_cache.lever; Batching.lever; Function_shipping.lever; Escrow.lever ]
 
-let lease_sweep () =
+let lever_json_file (lever : Experiments.Ab.lever) = "BENCH_" ^ lever.name ^ ".json"
+
+let lever_sweep (lever : Experiments.Ab.lever) =
   Format.printf "==================================================================@.";
-  Format.printf "Read-lease subsystem: home-node lock traffic, leases off vs on@.";
+  Format.printf "Lever %s: A/B against its baseline mode@." lever.name;
   Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Lease.sweep () in
-  Format.printf "%a@." Experiments.Lease.pp_report outcomes;
-  write_artifact lease_json_file (Experiments.Lease.to_json outcomes)
-
-(* The method-result cache sweep (baseline vs lease-only vs lease+cache,
-   all protocols, web-serving workload), printed and written as
-   BENCH_cache.json: the machine-readable record of the hit rate and the
-   message reduction the cache rides on (see EXPERIMENTS.md, "Web
-   serving"). *)
-let cache_json_file = "BENCH_cache.json"
-
-let cache_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Method-result cache: web serving, baseline vs lease vs lease+cache@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Method_cache.sweep () in
-  Format.printf "%a@." Experiments.Method_cache.pp_report outcomes;
-  write_artifact cache_json_file (Experiments.Method_cache.to_json outcomes)
+  let rows = Experiments.Ab.sweep lever in
+  Format.printf "%a@." (Experiments.Ab.pp_report lever) rows;
+  write_artifact (lever_json_file lever) (Experiments.Ab.to_json rows)
 
 (* Per-message-type traffic breakdown (COTEC vs OTEC vs LOTEC on the
    default scenario), printed and written as BENCH_trace.json: the
@@ -103,53 +93,6 @@ let msg_breakdown () =
   let rows = Experiments.Msg_breakdown.run () in
   Format.printf "%a@." Experiments.Msg_breakdown.pp_report rows;
   write_artifact trace_json_file (Experiments.Msg_breakdown.to_json rows)
-
-(* The message-combining sweep (protocols x batching policy under light
-   loss), printed and written as BENCH_batch.json: the machine-readable
-   record of how much of LOTEC's per-message overhead the combining layer
-   recovers (see EXPERIMENTS.md). *)
-let batch_json_file = "BENCH_batch.json"
-
-let batching_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Message combining: ack piggybacking, fetch aggregation, coalescing@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Batching.sweep () in
-  Format.printf "%a@." Experiments.Batching.pp_report outcomes;
-  (match Experiments.Batching.lotec_message_reduction_pct outcomes with
-  | Some pct -> Format.printf "LOTEC messages vs off: %+.1f%%@." pct
-  | None -> ());
-  write_artifact batch_json_file (Experiments.Batching.to_json outcomes)
-
-(* The function-shipping sweep (protocols x locality skews x software
-   costs, shipping on vs the always-data-ship baseline), printed and
-   written as BENCH_ship.json: the machine-readable record of the byte
-   reduction and the completion-time ratio the per-call cost model buys
-   (see EXPERIMENTS.md, "Function shipping"). *)
-let ship_json_file = "BENCH_ship.json"
-
-let ship_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Function shipping: per-call cost model vs always data-ship@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Function_shipping.sweep () in
-  Format.printf "%a@." Experiments.Function_shipping.pp_report outcomes;
-  write_artifact ship_json_file (Experiments.Function_shipping.to_json outcomes)
-
-(* The escrow-commit sweep (protocols x Zipf skews, escrow delta locks vs
-   the exclusive-locking baseline on the bank workload), printed and
-   written as BENCH_escrow.json: the machine-readable record of the
-   completion-time reduction coordination-avoiding commutative commits
-   buy on hot objects (see EXPERIMENTS.md, "Escrow"). *)
-let escrow_json_file = "BENCH_escrow.json"
-
-let escrow_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Escrow commit: coordination-avoiding deltas vs exclusive locking@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Escrow.sweep () in
-  Format.printf "%a@." Experiments.Escrow.pp_report outcomes;
-  write_artifact escrow_json_file (Experiments.Escrow.to_json outcomes)
 
 (* The crash-recovery sweep (crash windows x protocols x replica counts),
    printed and written as BENCH_crash.json: recovery latency percentiles
@@ -385,11 +328,7 @@ let benchmark () =
 
 let () =
   reproduce ();
-  lease_sweep ();
-  cache_sweep ();
-  batching_sweep ();
-  ship_sweep ();
-  escrow_sweep ();
+  List.iter lever_sweep levers;
   msg_breakdown ();
   crash_chaos ();
   partition_nemesis ();
@@ -410,8 +349,6 @@ let () =
         Format.eprintf "FATAL: bench entry left %s missing or empty@." file;
         exit 1
       end)
-    [
-      lease_json_file; cache_json_file; batch_json_file; ship_json_file; escrow_json_file;
-      trace_json_file; crash_json_file; partition_json_file; engine_json_file;
-    ];
+    (List.map lever_json_file levers
+    @ [ trace_json_file; crash_json_file; partition_json_file; engine_json_file ]);
   benchmark ()

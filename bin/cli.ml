@@ -12,11 +12,8 @@
      throughput  — per-protocol throughput + LOTEC cluster scaling
      trace       — run with protocol-event tracing and print the tail
      chaos       — fault-rate sweep asserting the protocol invariants
-     lease       — read-lease policy sweep vs the leases-off baseline
-     cache       — method-result cache sweep on the web-serving scenarios
-     batch       — message-combining sweep vs the batching-off baseline
-     ship        — function-shipping sweep vs the always-data-ship baseline
-     escrow      — escrow-commit sweep vs the exclusive-locking baseline
+     ab          — one lever (lease, cache, batch, ship or escrow) vs its
+                   baseline mode, with the lever's gates
      scale       — large-run sweep (streaming metrics) + engine micro-bench *)
 
 open Cmdliner
@@ -67,7 +64,7 @@ let recovery_conv =
   let print fmt s = Format.pp_print_string fmt (Txn.Recovery.strategy_to_string s) in
   Arg.conv (parse, print)
 
-(* Read-lease policy (shared by run and lease). *)
+(* Read-lease policy (on run). *)
 let lease_policy_arg =
   let doc = "Read-lease policy: off, ttl or adaptive." in
   Arg.(value & opt string "off" & info [ "lease-policy" ] ~doc)
@@ -105,7 +102,7 @@ let lease_policy ~policy ~ttl ~ratio ~samples =
               min_samples = or_else samples min_samples;
             })
 
-(* Method-result cache policy (shared by run and cache). *)
+(* Method-result cache policy (on run). *)
 let cache_arg =
   let doc =
     "Method-result cache policy: off, lru or lru:CAPACITY. Requires an enabled lease \
@@ -128,7 +125,7 @@ let cache_policy ~policy ~capacity =
   | Ok (Dsm.Method_cache.Lru { capacity = c }) ->
       Dsm.Method_cache.Lru { capacity = Option.value capacity ~default:c }
 
-(* Message-combining policy (shared by run and batch). *)
+(* Message-combining policy (on run). *)
 let batching_arg =
   let doc = "Message-combining policy: off or all." in
   Arg.(value & opt string "off" & info [ "batching" ] ~doc)
@@ -161,12 +158,12 @@ let batching_policy ~policy ~ack_flush ~ack_rider ~release_flush =
         release_flush_us = or_else release_flush p.Dsm.Batching.release_flush_us;
       }
 
-(* Function shipping (the ship subcommand sweeps its own parameter grid). *)
+(* Function shipping (on run). *)
 let shipping_arg =
   let doc = "Function-shipping policy: off, on, or on:<software-us>." in
   Arg.(value & opt string "off" & info [ "shipping" ] ~doc)
 
-(* Escrow commit (the escrow subcommand sweeps its own parameter grid). *)
+(* Escrow commit (on run). *)
 let escrow_arg =
   let doc = "Escrow-commit policy: off, on, or on:<local-quota>." in
   Arg.(value & opt string "off" & info [ "escrow" ] ~doc)
@@ -765,408 +762,60 @@ let partition_cmd =
           reconciliation, and message-driven readmission after a forced false declaration.")
     term
 
-let lease_cmd =
-  let fractions_arg =
-    let doc = "Read-only method fraction to sweep (repeatable); default 0.5 0.8 0.95." in
-    Arg.(value & opt_all float [] & info [ "read-fraction" ] ~doc)
-  in
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let action seed roots fractions protocols policy ttl ratio samples json =
-    let spec = apply_overrides Experiments.Lease.default_spec seed roots in
-    let policies =
-      (* Default sweep compares both built-in policies; an explicit
-         --lease-policy narrows it to that one (off is always the baseline). *)
-      match policy with
-      | "off" -> None
-      | p -> Some [ lease_policy ~policy:p ~ttl ~ratio ~samples ]
-    in
-    let read_fractions = if fractions = [] then None else Some fractions in
-    let protocols = if protocols = [] then None else Some protocols in
-    let outcomes =
-      Experiments.Lease.sweep ~spec ?protocols ?read_fractions ?policies ()
-    in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Lease.pp_report outcomes;
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Lease.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ fractions_arg $ protocols_arg $ lease_policy_arg
-      $ lease_ttl_arg $ lease_ratio_arg $ lease_samples_arg $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "lease"
-       ~doc:
-         "Sweep read-lease policies x read fractions x protocols and report home-node lock \
-          operations, lease traffic and completion time against the leases-off baseline.")
-    term
+(* The five lever sweeps share one harness (Experiments.Ab); per-run lever
+   tuning stays on [run]. *)
+let levers =
+  Experiments.
+    [ Lease.lever; Method_cache.lever; Batching.lever; Function_shipping.lever; Escrow.lever ]
 
-let cache_cmd =
-  let scenario_cache_arg =
-    let doc = "Web-serving scenario to sweep (default web-sessions)." in
+let ab_cmd =
+  let lever_arg =
+    let names = List.map (fun (l : Experiments.Ab.lever) -> l.name) levers in
+    let doc = "Lever to sweep: " ^ String.concat ", " names ^ "." in
     Arg.(
-      value
-      & opt scenario_conv Workload.Scenarios.web_sessions
-      & info [ "scenario" ] ~doc)
-  in
-  let fractions_arg =
-    let doc = "Request-level read share to sweep (repeatable); default 0.8 0.95 0.99." in
-    Arg.(value & opt_all float [] & info [ "read-fraction" ] ~doc)
+      required
+      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
+      & info [] ~docv:"LEVER" ~doc)
   in
   let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
+    let doc = "Protocol to sweep (repeatable); default the lever's." in
     Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
   in
   let json_arg =
     let doc = "Also write the sweep as a JSON array to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let min_hit_rate_arg =
-    let doc =
-      "Fail (exit 1) if the best cache hit rate of any cached LOTEC row is below $(docv) \
-       (in [0,1])."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-hit-rate" ] ~docv:"R" ~doc)
+  let gate_arg =
+    let doc = "Exit 1 unless every gate the lever declares holds on this sweep." in
+    Arg.(value & flag & info [ "gate" ] ~doc)
   in
-  let min_factor_arg =
-    let doc =
-      "Fail (exit 1) if the best message-reduction factor of any cached LOTEC row at read \
-       share >= 0.95 is below $(docv)."
+  let action name seed roots protocols json gate =
+    let lever =
+      List.find (fun (l : Experiments.Ab.lever) -> l.name = name) levers
+      |> Experiments.Ab.map_spec (fun spec -> apply_overrides spec seed roots)
     in
-    Arg.(
-      value & opt (some float) None & info [ "assert-min-message-factor" ] ~docv:"X" ~doc)
-  in
-  let action spec seed roots fractions protocols cache cache_capacity ttl json min_hit_rate
-      min_factor =
-    let spec = apply_overrides spec seed roots in
-    let policies =
-      match cache_policy ~policy:cache ~capacity:cache_capacity with
-      | Dsm.Method_cache.Off -> None (* default LRU; Baseline/Lease_only always run *)
-      | p -> Some [ p ]
-    in
-    let lease = Option.map (fun ttl_us -> Gdo.Lease.Fixed_ttl { ttl_us }) ttl in
-    let read_fractions = if fractions = [] then None else Some fractions in
     let protocols = if protocols = [] then None else Some protocols in
-    let outcomes =
-      Experiments.Method_cache.sweep ?lease ~spec ?protocols ?read_fractions ?policies ()
-    in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Method_cache.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Method_cache.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file);
-    (* CI gates: evaluated over the cached LOTEC rows of this sweep. *)
-    let cached_lotec =
-      List.filter
-        (fun (o : Experiments.Method_cache.outcome) ->
-          o.Experiments.Method_cache.case.Experiments.Method_cache.protocol
-          = Dsm.Protocol.Lotec
-          &&
-          match o.Experiments.Method_cache.case.Experiments.Method_cache.mode with
-          | Experiments.Method_cache.Cached _ -> true
-          | _ -> false)
-        outcomes
-    in
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
+    let rows = Experiments.Ab.sweep ?protocols lever in
+    Format.printf "%a@." (Experiments.Ab.pp_report lever) rows;
     Option.iter
-      (fun floor ->
-        let best =
-          List.fold_left
-            (fun acc o -> Float.max acc (Experiments.Method_cache.hit_rate o))
-            0.0 cached_lotec
-        in
-        check (best >= floor)
-          (Printf.sprintf "best cached-LOTEC hit rate %.2f below the %.2f floor" best floor))
-      min_hit_rate;
-    Option.iter
-      (fun floor ->
-        let best =
-          List.fold_left
-            (fun acc (o : Experiments.Method_cache.outcome) ->
-              if o.Experiments.Method_cache.case.Experiments.Method_cache.read_fraction >= 0.95
-              then
-                match Experiments.Method_cache.baseline_of outcomes o with
-                | Some b ->
-                    Float.max acc (Experiments.Method_cache.message_factor ~baseline:b ~on:o)
-                | None -> acc
-              else acc)
-            0.0 cached_lotec
-        in
-        check (best >= floor)
-          (Printf.sprintf
-             "best cached-LOTEC message reduction %.1fx (read >= 0.95) below the %.1fx floor"
-             best floor))
-      min_factor;
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ scenario_cache_arg $ seed_arg $ roots_arg $ fractions_arg
-      $ protocols_arg $ cache_arg $ cache_capacity_arg $ lease_ttl_arg $ json_arg
-      $ min_hit_rate_arg $ min_factor_arg)
-  in
-  Cmd.v
-    (Cmd.info "cache"
-       ~doc:
-         "Sweep the method-result cache x protocols x request-level read shares on a \
-          web-serving scenario, against lease-only and everything-off baselines; report \
-          message reduction, hit rate and invalidation traffic, optionally asserting CI \
-          floors on the cached LOTEC rows.")
-    term
-
-let ship_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let skews_arg =
-    let doc = "Locality skew to sweep (repeatable); default 0 and 1.5." in
-    Arg.(value & opt_all float [] & info [ "skew" ] ~doc)
-  in
-  let costs_arg =
-    let doc =
-      "Per-message software cost in microseconds to sweep (repeatable); sets both the link \
-       and the cost model's sigma. Default 20 and 60."
-    in
-    Arg.(value & opt_all float [] & info [ "software-cost" ] ~doc)
-  in
-  let min_pages_arg =
-    let doc = "Cost-model floor: never ship below this many stale remote pages." in
-    Arg.(value & opt (some int) None & info [ "ship-min-pages" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_reduction_arg =
-    let doc =
-      "Fail (exit 1) unless the headline row (LOTEC, skewed workload, cheapest messaging) \
-       moves at least $(docv) percent fewer bytes than its data-ship baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-bytes-reduction" ] ~docv:"PCT" ~doc)
-  in
-  let max_ratio_arg =
-    let doc =
-      "Fail (exit 1) if the headline row's completion time exceeds $(docv) times its \
-       data-ship baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-max-time-ratio" ] ~docv:"R" ~doc)
-  in
-  let action seed roots protocols skews costs min_pages json min_reduction max_ratio =
-    let spec_of_skew skew =
-      apply_overrides (Experiments.Function_shipping.default_spec ~skew) seed roots
-    in
-    let params =
-      match min_pages with
-      | None -> Experiments.Function_shipping.default_params
-      | Some m ->
-          {
-            Experiments.Function_shipping.default_params with
-            Dsm.Shipping.min_remote_pages = m;
-          }
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let skews = if skews = [] then None else Some skews in
-    let software_costs = if costs = [] then None else Some costs in
-    let outcomes =
-      Experiments.Function_shipping.sweep ~spec_of_skew ~params ?protocols ?skews
-        ?software_costs ()
-    in
-    Format.printf "workload (skewed axis): %a@.@." Workload.Spec.pp (spec_of_skew 1.5);
-    Format.printf "%a@." Experiments.Function_shipping.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
+      (fun file ->
         let oc = open_out file in
-        output_string oc (Experiments.Function_shipping.to_json outcomes);
+        output_string oc (Experiments.Ab.to_json rows);
         close_out oc;
-        Format.printf "wrote %s@." file);
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
-    (if min_reduction <> None || max_ratio <> None then
-       match Experiments.Function_shipping.headline outcomes with
-       | None -> check false "no headline row (LOTEC shipping at positive skew) in the sweep"
-       | Some (_, _, reduction, ratio) ->
-           Option.iter
-             (fun floor ->
-               check (reduction >= floor)
-                 (Printf.sprintf "headline byte reduction %.1f%% below the %.1f%% floor"
-                    reduction floor))
-             min_reduction;
-           Option.iter
-             (fun ceiling ->
-               check (ratio <= ceiling)
-                 (Printf.sprintf "headline time ratio %.3f above the %.3f ceiling" ratio
-                    ceiling))
-             max_ratio);
-    if !failures > 0 then exit 1
+        Format.printf "wrote %s@." file)
+      json;
+    if gate && List.exists Result.is_error (Experiments.Ab.evaluate lever rows) then exit 1
   in
   let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ skews_arg $ costs_arg
-      $ min_pages_arg $ json_arg $ min_reduction_arg $ max_ratio_arg)
+    Term.(const action $ lever_arg $ seed_arg $ roots_arg $ protocols_arg $ json_arg $ gate_arg)
   in
   Cmd.v
-    (Cmd.info "ship"
+    (Cmd.info "ab"
        ~doc:
-         "Sweep function shipping x protocols x locality skews x software costs on the \
-          locality-skewed nesting workload, against the always-data-ship baseline; report \
-          byte/message reduction and ship-decision counters, optionally asserting CI floors \
-          on the headline LOTEC row.")
-    term
-
-let escrow_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let skews_arg =
-    let doc = "Access skew to sweep (repeatable); default 0.6 and 1.2." in
-    Arg.(value & opt_all float [] & info [ "skew" ] ~doc)
-  in
-  let quota_arg =
-    let doc = "Delegated local quota per (node, object, side); 0 disables the fast path." in
-    Arg.(value & opt (some int) None & info [ "quota" ] ~doc)
-  in
-  let reconcile_arg =
-    let doc = "Local commits between lazy reconcile pushes to the home." in
-    Arg.(value & opt (some int) None & info [ "reconcile-every" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_reduction_arg =
-    let doc =
-      "Fail (exit 1) unless the headline row (LOTEC with escrow at the hottest skew) \
-       completes at least $(docv) percent faster than its exclusive-locking baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-time-reduction" ] ~docv:"PCT" ~doc)
-  in
-  let action seed roots protocols skews quota reconcile json min_reduction =
-    let spec_of_skew skew =
-      apply_overrides (Experiments.Escrow.default_spec ~skew) seed roots
-    in
-    let params =
-      let p = Experiments.Escrow.default_params in
-      let p =
-        match quota with None -> p | Some q -> { p with Dsm.Escrow.local_quota = q }
-      in
-      match reconcile with None -> p | Some r -> { p with Dsm.Escrow.reconcile_every = r }
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let skews = if skews = [] then None else Some skews in
-    let outcomes = Experiments.Escrow.sweep ~spec_of_skew ~params ?protocols ?skews () in
-    Format.printf "workload (hottest axis): %a@.@." Workload.Spec.pp (spec_of_skew 1.2);
-    Format.printf "%a@." Experiments.Escrow.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Escrow.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file);
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
-    Option.iter
-      (fun floor ->
-        match Experiments.Escrow.headline outcomes with
-        | None -> check false "no headline row (LOTEC with escrow) in the sweep"
-        | Some (_, _, ratio) ->
-            let reduction = 100.0 *. (1.0 -. ratio) in
-            check (reduction >= floor)
-              (Printf.sprintf "headline completion reduction %.1f%% below the %.1f%% floor"
-                 reduction floor))
-      min_reduction;
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ skews_arg $ quota_arg
-      $ reconcile_arg $ json_arg $ min_reduction_arg)
-  in
-  Cmd.v
-    (Cmd.info "escrow"
-       ~doc:
-         "Sweep escrow commit x protocols x access skews on the hot-account bank workload, \
-          against the exclusive-locking baseline; report reservation/fast-path/recall \
-          counters and completion times, optionally asserting a CI floor on the headline \
-          LOTEC row.")
-    term
-
-let batch_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default otec and lotec." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let action seed roots protocols drop duplicate jitter fault_seed policy ack_flush ack_rider
-      release_flush json =
-    let spec = apply_overrides Experiments.Batching.default_spec seed roots in
-    let faults =
-      (* The default sweep injects light loss on purpose (acks only exist on
-         a lossy interconnect); explicit --fault-* flags override it. *)
-      if drop = 0.0 && duplicate = 0.0 && jitter = 0.0 then
-        Some Experiments.Batching.default_faults
-      else
-        fault_config ~drop ~duplicate ~jitter ~fault_seed ~crash_windows:[]
-          ~partition_windows:[] ~slow_links:[]
-    in
-    let policies =
-      (* Off is always the baseline; an explicit policy flag replaces the
-         default "all" comparison point. *)
-      match policy with
-      | "off" -> Dsm.Batching.[ off; all ]
-      | p -> [ Dsm.Batching.off; batching_policy ~policy:p ~ack_flush ~ack_rider ~release_flush ]
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let outcomes = Experiments.Batching.sweep ~spec ~faults ?protocols ~policies () in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Batching.pp_report outcomes;
-    (match Experiments.Batching.lotec_message_reduction_pct outcomes with
-    | Some pct -> Format.printf "LOTEC messages vs off: %+.1f%%@." pct
-    | None -> ());
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Batching.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ fault_drop_arg
-      $ fault_duplicate_arg $ fault_jitter_arg $ fault_seed_arg $ batching_arg
-      $ batch_ack_flush_arg $ batch_ack_rider_arg $ batch_release_flush_arg $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:
-         "Sweep the message-combining policy x protocols under light interconnect faults \
-          and report message/byte counts, combining counters and the software-cost replay \
-          grid against the batching-off baseline.")
+         "Sweep one lever against its baseline mode: protocols x the lever's axis points x \
+          its modes, every row checked for root accounting, exact wire reconciliation and \
+          all-zero counters of each subsystem left off; report messages, bytes and \
+          completion against the baseline plus the lever's counters and gate verdicts.")
     term
 
 let scale_cmd =
@@ -1343,6 +992,5 @@ let main () =
        (Cmd.group info
           [
             run_cmd; figure_cmd; figures_cmd; ratios_cmd; ablation_cmd; granularity_cmd;
-            sweep_cmd; throughput_cmd; trace_cmd; chaos_cmd; partition_cmd; lease_cmd; cache_cmd; batch_cmd;
-            ship_cmd; escrow_cmd; scale_cmd;
+            sweep_cmd; throughput_cmd; trace_cmd; chaos_cmd; partition_cmd; ab_cmd; scale_cmd;
           ]))

@@ -1,42 +1,17 @@
-(** Message-combining sweep: protocols x batching policy under light
-    interconnect faults, replayed over the Fig_time software-cost grid.
+(** Message combining ({!Dsm.Batching}) off vs on under light interconnect
+    faults, as an {!Ab} lever.
 
     LOTEC's weakness in the paper is message {e count}: it trades bytes
     for many small messages, so a high per-message software cost erodes
-    its advantage (figures 6-8). The combining layer ({!Dsm.Batching})
-    attacks exactly that term — this sweep measures how much of it comes
-    back. Runs execute under a light drop/jitter fault model on purpose:
-    transport acks only exist on a lossy interconnect (and fault-free
-    LOTEC demand fetches are zero on the standard workload, because the
-    predicted access sets cover the actual ones), so a fault-free sweep
-    would have nothing to combine.
-
-    Every run asserts the batching invariants and raises [Failure] on
-    violation: root accounting balances, the wire ledger reconciles
-    exactly with the network ledger (riders included), and a batching-off
-    run records zero combining activity. *)
-
-type case = { protocol : Dsm.Protocol.t; policy : Dsm.Batching.t }
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;  (** network messages put on the wire *)
-  bytes : int;
-  riders : int;  (** combined payloads that rode a carrier (see Metrics) *)
-  acks_piggybacked : int;
-  acks_flushed : int;
-  fetches_aggregated : int;
-  releases_coalesced : int;
-  heartbeats_suppressed : int;
-  retransmits : int;
-  completion_us : float;
-  time_us : (float * float) list;
-      (** [(software_cost_us, replayed total message time)] over
-          {!Fig_time.software_costs_us}:
-          [messages * software_cost + bytes * 8 / bandwidth]. *)
-}
+    its advantage (figures 6-8). The combining layer attacks exactly that
+    term — this lever measures how much of it comes back. A row's
+    software-cost replay is [messages * software_cost + bytes * 8 /
+    bandwidth], the {!Dsm.Metrics.total_time_us} formula, so rows do not
+    carry it. Runs execute under a light drop/jitter fault model on
+    purpose: transport acks only exist on a lossy interconnect (and
+    fault-free LOTEC demand fetches are zero on the standard workload,
+    because the predicted access sets cover the actual ones), so a
+    fault-free sweep would have nothing to combine. *)
 
 val default_spec : Workload.Spec.t
 (** {!Workload.Scenarios.medium_high}. *)
@@ -44,46 +19,6 @@ val default_spec : Workload.Spec.t
 val default_faults : Sim.Fault.config
 (** Light loss: drop 0.03, 30 us jitter, no crash windows, fixed seed. *)
 
-val default_bandwidth_bps : float
-(** 100 Mbps — the figure-7 regime, where software cost and serialisation
-    are comparable. *)
-
-val case_name : case -> string
-
-val run_case :
-  ?config:Core.Config.t ->
-  ?bandwidth_bps:float ->
-  spec:Workload.Spec.t ->
-  case ->
-  outcome
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?faults:Sim.Fault.config option ->
-  ?bandwidth_bps:float ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?policies:Dsm.Batching.t list ->
-  unit ->
-  outcome list
-(** Defaults: OTEC and LOTEC, policies [[off; all]], {!default_faults}.
-    [config]'s fault field is replaced by [faults]. *)
-
-val baseline_of : outcome list -> outcome -> outcome option
-(** The batching-off outcome a combined outcome compares against (same
-    protocol). *)
-
-val message_reduction : off:outcome -> on:outcome -> float
-(** Percentage message-count change of [on] vs [off]; negative = fewer. *)
-
-val lotec_message_reduction_pct : outcome list -> float option
-(** The headline number: LOTEC messages, batching on vs off. [None] when
-    the sweep did not include both LOTEC rows. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val pp_report : Format.formatter -> outcome list -> unit
-(** Summary table (counts, combining counters, completion) plus the
-    software-cost replay grid. *)
-
-val to_json : outcome list -> string
+val lever : Ab.lever
+(** Lever ["batch"]: OTEC and LOTEC x one point ({!default_spec} under
+    {!default_faults}) x modes ["off"] and ["all"]. No gates. *)

@@ -85,15 +85,14 @@ let escrow_sweep () =
      escrowed finals twice. *)
   Format.printf "escrow finals:@.";
   let run () =
-    let case =
-      {
-        Experiments.Escrow.protocol = Dsm.Protocol.Lotec;
-        skew = 1.2;
-        mode = Experiments.Escrow.Escrow Experiments.Escrow.default_params;
-      }
+    let lever = Experiments.Escrow.lever in
+    let run, _ =
+      Experiments.Ab.execute lever Dsm.Protocol.Lotec (Experiments.Escrow.point 1.2)
+        (Experiments.Ab.mode lever "escrow")
     in
-    let o = Experiments.Escrow.run_case case in
-    o.Experiments.Escrow.escrow_finals
+    match Core.Runtime.check_escrow run.Experiments.Runner.runtime with
+    | Ok finals -> finals
+    | Error _ -> [] (* Runner.execute already raised *)
   in
   let a = run () in
   check "escrow replay non-trivial" (a <> []);

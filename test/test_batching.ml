@@ -345,30 +345,35 @@ let test_batching_sweep_headline () =
      (see Sim.Backoff) — a couple of tail retransmits landing differently
      shifts completion by several percent on this 3%-loss run, so the band
      is wide; the message reduction, not completion, is the headline. *)
-  let outcomes = Experiments.Batching.sweep ~protocols:[ Dsm.Protocol.Lotec ] () in
-  Alcotest.(check int) "two rows" 2 (List.length outcomes);
-  match Experiments.Batching.lotec_message_reduction_pct outcomes with
-  | None -> Alcotest.fail "missing lotec rows"
-  | Some pct ->
+  let rows = Experiments.Ab.sweep ~protocols:[ Dsm.Protocol.Lotec ] Experiments.Batching.lever in
+  Alcotest.(check int) "two rows" 2 (List.length rows);
+  let lotec mode =
+    List.find_opt
+      (fun (r : Experiments.Ab.row) -> r.protocol = Dsm.Protocol.Lotec && r.mode = mode)
+      rows
+  in
+  match (lotec "off", lotec "all") with
+  | None, _ | _, None -> Alcotest.fail "missing lotec rows"
+  | Some off, Some on ->
+      let pct =
+        100.0 *. float_of_int (on.messages - off.messages) /. float_of_int off.messages
+      in
       Alcotest.(check bool)
         (Printf.sprintf "message reduction >= 15%% (got %+.1f%%)" pct)
         true (pct <= -15.0);
-      let off = List.find (fun (o : Experiments.Batching.outcome) ->
-          not (Dsm.Batching.enabled o.Experiments.Batching.case.Experiments.Batching.policy))
-          outcomes
-      and on = List.find (fun (o : Experiments.Batching.outcome) ->
-          Dsm.Batching.enabled o.Experiments.Batching.case.Experiments.Batching.policy)
-          outcomes
-      in
-      let slack = 1.15 *. off.Experiments.Batching.completion_us in
+      let slack = 1.15 *. off.completion_us in
       Alcotest.(check bool)
-        (Printf.sprintf "completion no worse (%.0f vs %.0f us)"
-           on.Experiments.Batching.completion_us off.Experiments.Batching.completion_us)
+        (Printf.sprintf "completion no worse (%.0f vs %.0f us)" on.completion_us
+           off.completion_us)
         true
-        (on.Experiments.Batching.completion_us <= slack);
-      (* The software-cost replay: batching must win at high per-message
-         cost — the paper's regime where LOTEC's message count hurts. *)
-      let at sw (o : Experiments.Batching.outcome) = List.assoc sw o.Experiments.Batching.time_us in
+        (on.completion_us <= slack);
+      (* The software-cost replay at 100 Mbps, Dsm.Metrics.total_time_us's
+         formula over the row's ledger: batching must win at high
+         per-message cost — the paper's regime where LOTEC's message count
+         hurts. *)
+      let at sw (r : Experiments.Ab.row) =
+        (float_of_int r.messages *. sw) +. (float_of_int r.bytes *. 8.0 /. 1e8 *. 1e6)
+      in
       List.iter
         (fun sw ->
           Alcotest.(check bool)

@@ -275,30 +275,38 @@ let test_escrow_off_byte_identity () =
 (* The acceptance numbers: on the hottest-skew bank workload, LOTEC with
    escrow must complete at least 25% sooner than its exclusive-locking
    baseline — with real coordination avoidance behind it (local zero-
-   message commits and lazy reconciles, not just admissions). run_case
+   message commits and lazy reconciles, not just admissions). Ab.sweep
    itself asserts serializability, the escrow-ledger replay, root
    accounting, zero-counter hygiene and exact wire reconciliation for
    both rows. *)
 let test_lotec_headline_gate () =
-  let outcomes =
-    Experiments.Escrow.sweep ~protocols:[ Dsm.Protocol.Lotec ] ~skews:[ 1.2 ] ()
-  in
-  match Experiments.Escrow.headline outcomes with
+  let point = Experiments.Escrow.point 1.2 in
+  let lever = { Experiments.Escrow.lever with points = [ point ] } in
+  let rows = Experiments.Ab.sweep ~protocols:[ Dsm.Protocol.Lotec ] lever in
+  match Experiments.Escrow.headline rows with
   | None -> Alcotest.fail "sweep produced no headline row"
-  | Some (baseline, on, ratio) ->
-      Alcotest.(check int) "baseline runs no escrow" 0 baseline.Experiments.Escrow.reserves;
-      Alcotest.(check bool) "escrow run reserves" true (on.Experiments.Escrow.reserves > 0);
+  | Some (baseline, on) ->
+      let counter = Experiments.Ab.counter in
+      let ratio = on.completion_us /. baseline.completion_us in
+      Alcotest.(check int) "baseline runs no escrow" 0 (counter baseline "reserves");
+      Alcotest.(check bool) "escrow run reserves" true (counter on "reserves" > 0);
       Alcotest.(check bool) "zero-message local commits happen" true
-        (on.Experiments.Escrow.local_commits > 0);
-      Alcotest.(check bool) "lazy reconciles happen" true
-        (on.Experiments.Escrow.reconciles > 0);
+        (counter on "local_commits" > 0);
+      Alcotest.(check bool) "lazy reconciles happen" true (counter on "reconciles" > 0);
       Alcotest.(check bool) "recalls drain quotas for exclusive access" true
-        (on.Experiments.Escrow.recalls > 0);
-      Alcotest.(check bool) "replay reports escrowed finals" true
-        (on.Experiments.Escrow.escrow_finals <> []);
+        (counter on "recalls" > 0);
+      let run, _ =
+        Experiments.Ab.execute lever Dsm.Protocol.Lotec point (Experiments.Ab.mode lever "escrow")
+      in
+      let finals =
+        match Core.Runtime.check_escrow run.Experiments.Runner.runtime with
+        | Ok finals -> finals
+        | Error _ -> []
+      in
+      Alcotest.(check bool) "replay reports escrowed finals" true (finals <> []);
       if ratio > 0.75 then
         Alcotest.failf "completion ratio %.3f misses the 0.75 ceiling (%.0f vs %.0f us)" ratio
-          on.Experiments.Escrow.completion_us baseline.Experiments.Escrow.completion_us
+          on.completion_us baseline.completion_us
 
 let tests =
   [

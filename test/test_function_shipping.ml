@@ -159,29 +159,33 @@ let test_shipping_off_byte_identity () =
 (* The acceptance numbers: on the skewed workload at the cheapest
    messaging (the least favourable sigma), LOTEC with shipping moves at
    least 30% fewer bytes than its own data-ship baseline with completion
-   no worse than +2%. run_case itself asserts serializability, root
+   no worse than +2%. Ab.sweep itself asserts serializability, root
    accounting, zero-counter hygiene and exact wire-ledger reconciliation
    for both rows. *)
 let test_lotec_headline_gate () =
-  let outcomes =
-    Experiments.Function_shipping.sweep ~protocols:[ Dsm.Protocol.Lotec ] ~skews:[ 1.5 ]
-      ~software_costs:[ 20.0 ] ()
+  let lever =
+    {
+      Experiments.Function_shipping.lever with
+      points = [ Experiments.Function_shipping.point 1.5 20.0 ];
+    }
   in
-  match Experiments.Function_shipping.headline outcomes with
+  let rows = Experiments.Ab.sweep ~protocols:[ Dsm.Protocol.Lotec ] lever in
+  match Experiments.Function_shipping.headline rows with
   | None -> Alcotest.fail "sweep produced no headline row"
-  | Some (baseline, on, reduction, ratio) ->
-      Alcotest.(check bool) "baseline never ships" true (baseline.Experiments.Function_shipping.ships = 0);
-      Alcotest.(check bool) "shipping run actually ships" true
-        (on.Experiments.Function_shipping.ships > 0);
+  | Some (baseline, on) ->
+      let counter = Experiments.Ab.counter in
+      let reduction = 100.0 *. (1.0 -. (float_of_int on.bytes /. float_of_int baseline.bytes)) in
+      let ratio = on.completion_us /. baseline.completion_us in
+      Alcotest.(check bool) "baseline never ships" true (counter baseline "ships" = 0);
+      Alcotest.(check bool) "shipping run actually ships" true (counter on "ships" > 0);
       Alcotest.(check bool) "model predicts savings" true
-        (on.Experiments.Function_shipping.predicted_saved_bytes > 0);
+        (counter on "predicted_saved_bytes" > 0);
       if reduction < 30.0 then
         Alcotest.failf "bytes reduction %.1f%% misses the 30%% floor (%d vs %d bytes)" reduction
-          on.Experiments.Function_shipping.bytes baseline.Experiments.Function_shipping.bytes;
+          on.bytes baseline.bytes;
       if ratio > 1.02 then
         Alcotest.failf "completion ratio %.3f exceeds the 1.02 ceiling (%.0f vs %.0f us)" ratio
-          on.Experiments.Function_shipping.completion_us
-          baseline.Experiments.Function_shipping.completion_us
+          on.completion_us baseline.completion_us
 
 (* ---------- crash with a shipped invocation in flight ---------- *)
 

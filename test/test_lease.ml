@@ -219,36 +219,47 @@ let test_cache_validation () =
 
 (* ---------- runtime integration ---------- *)
 
-let lotec_case policy read_fraction =
-  { Experiments.Lease.protocol = Dsm.Protocol.Lotec; read_fraction; policy }
+let lotec_run ?spec mode read_fraction =
+  Experiments.Ab.run Experiments.Lease.lever Dsm.Protocol.Lotec
+    (Experiments.Lease.point ?spec read_fraction)
+    (Experiments.Ab.mode Experiments.Lease.lever mode)
+
+let counter = Experiments.Ab.counter
+let home_ops r = counter r "home_lock_ops"
+
+(* Relative change of home_lock_ops, in percent (negative = fewer home
+   operations with leases on). *)
+let reduction ~off ~on =
+  if home_ops off = 0 then 0.0
+  else 100.0 *. float_of_int (home_ops on - home_ops off) /. float_of_int (home_ops off)
 
 (* The tentpole acceptance number: on a read-dominated workload (the 0.95
    read-only-method fraction of the sweep spec runs ~89% read acquisitions),
-   leases cut home-node lock operations by at least 30%. run_case itself
+   leases cut home-node lock operations by at least 30%. Ab.run itself
    asserts serializability, root accounting and zero-counter hygiene. *)
 let test_home_lock_reduction () =
   let spec = Experiments.Lease.default_spec in
-  let off = Experiments.Lease.run_case ~spec (lotec_case Gdo.Lease.Off 0.95) in
-  let on = Experiments.Lease.run_case ~spec (lotec_case Experiments.Lease.default_policy 0.95) in
+  let off = lotec_run "off" 0.95 in
+  let on = lotec_run "ttl" 0.95 in
   Alcotest.(check int) "all committed (off)" spec.Workload.Spec.root_count off.committed;
   Alcotest.(check int) "all committed (on)" spec.Workload.Spec.root_count on.committed;
-  Alcotest.(check bool) "leases actually hit" true (on.lease_hits > 0);
-  Alcotest.(check bool) "writes actually recalled" true (on.lease_recalls > 0);
-  let red = Experiments.Lease.reduction ~off ~on in
+  Alcotest.(check bool) "leases actually hit" true (counter on "lease_hits" > 0);
+  Alcotest.(check bool) "writes actually recalled" true (counter on "lease_recalls" > 0);
+  let red = reduction ~off ~on in
   if red > -30.0 then
     Alcotest.failf "home_lock_ops reduction %.1f%% misses the -30%% target (off %d, on %d)" red
-      off.home_lock_ops on.home_lock_ops
+      (home_ops off) (home_ops on)
 
 (* Same comparison, all four protocols: leases must preserve every
    protocol's invariants and reduce home traffic on the read-heavy point. *)
 let test_all_protocols_reduce () =
   List.iter
     (fun protocol ->
-      let spec = Experiments.Lease.default_spec in
-      let case policy = { Experiments.Lease.protocol; read_fraction = 0.95; policy } in
-      let off = Experiments.Lease.run_case ~spec (case Gdo.Lease.Off) in
-      let on = Experiments.Lease.run_case ~spec (case Experiments.Lease.default_policy) in
-      let red = Experiments.Lease.reduction ~off ~on in
+      let run mode =
+        Experiments.Ab.run Experiments.Lease.lever protocol (Experiments.Lease.point 0.95)
+          (Experiments.Ab.mode Experiments.Lease.lever mode)
+      in
+      let red = reduction ~off:(run "off") ~on:(run "ttl") in
       if red >= 0.0 then
         Alcotest.failf "%s: leases did not reduce home ops (%.1f%%)"
           (Dsm.Protocol.to_string protocol) red)
@@ -258,21 +269,20 @@ let test_all_protocols_reduce () =
    traffic, bytes and completion to a run without the lease code paths. *)
 let test_off_is_invisible () =
   let spec = { Experiments.Lease.default_spec with Workload.Spec.root_count = 40 } in
-  let o = Experiments.Lease.run_case ~spec (lotec_case Gdo.Lease.Off 0.8) in
-  Alcotest.(check int) "no grants" 0 o.lease_grants;
-  Alcotest.(check int) "no hits" 0 o.lease_hits;
-  Alcotest.(check int) "no recalls" 0 o.lease_recalls
+  let o = lotec_run ~spec "off" 0.8 in
+  Alcotest.(check int) "no grants" 0 (counter o "lease_grants");
+  Alcotest.(check int) "no hits" 0 (counter o "lease_hits");
+  Alcotest.(check int) "no recalls" 0 (counter o "lease_recalls")
 
 (* Determinism: leases introduce timers and extra messages, but a repeated
    run must still be byte-identical. *)
 let test_leased_run_deterministic () =
   let spec = { Experiments.Lease.default_spec with Workload.Spec.root_count = 60 } in
-  let case = lotec_case Experiments.Lease.default_policy 0.9 in
-  let a = Experiments.Lease.run_case ~spec case in
-  let b = Experiments.Lease.run_case ~spec case in
+  let a = lotec_run ~spec "ttl" 0.9 in
+  let b = lotec_run ~spec "ttl" 0.9 in
   Alcotest.(check int) "messages" a.messages b.messages;
   Alcotest.(check int) "bytes" a.bytes b.bytes;
-  Alcotest.(check int) "hits" a.lease_hits b.lease_hits;
+  Alcotest.(check int) "hits" (counter a "lease_hits") (counter b "lease_hits");
   Alcotest.(check (float 0.0)) "completion" a.completion_us b.completion_us
 
 (* ---------- leases under chaos ---------- *)

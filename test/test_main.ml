@@ -22,6 +22,7 @@ let () =
          Test_runtime_edge.tests;
          Test_workload.tests;
          Test_experiments.tests;
+         Test_ab.tests;
          Test_stats.tests;
          Test_sweeps.tests;
          Test_properties.tests;

@@ -187,79 +187,70 @@ let test_cache_off_byte_identity () =
 
 (* ---------- runtime integration: the headline gates ---------- *)
 
-let cached_case protocol read_fraction =
-  {
-    Experiments.Method_cache.protocol;
-    read_fraction;
-    mode = Experiments.Method_cache.Cached Experiments.Method_cache.default_policy;
-  }
+let cache_run ?spec protocol mode read_fraction =
+  Experiments.Ab.run Experiments.Method_cache.lever protocol
+    (Experiments.Method_cache.point ?spec read_fraction)
+    (Experiments.Ab.mode Experiments.Method_cache.lever mode)
 
-let baseline_case protocol read_fraction =
-  { Experiments.Method_cache.protocol; read_fraction; mode = Experiments.Method_cache.Baseline }
+let cached = "cache:lru"
+let counter = Experiments.Ab.counter
 
 (* The acceptance numbers: on web-sessions at a 0.99 request read share,
    LOTEC with the cache serves at least half its consults from cache and
    moves at least 5x fewer messages than the everything-off baseline.
-   run_case itself asserts serializability, root accounting, zero-counter
+   Ab.run itself asserts serializability, root accounting, zero-counter
    hygiene and exact wire-ledger reconciliation. *)
 let test_lotec_headline_gates () =
   let spec = Workload.Scenarios.web_sessions in
-  let base =
-    Experiments.Method_cache.run_case ~spec (baseline_case Dsm.Protocol.Lotec 0.99)
-  in
-  let on = Experiments.Method_cache.run_case ~spec (cached_case Dsm.Protocol.Lotec 0.99) in
+  let base = cache_run Dsm.Protocol.Lotec "baseline" 0.99 in
+  let on = cache_run Dsm.Protocol.Lotec cached 0.99 in
   Alcotest.(check int) "all committed (baseline)" spec.Workload.Spec.root_count
     (base.committed + base.aborted);
   Alcotest.(check int) "all committed (cached)" spec.Workload.Spec.root_count
     (on.committed + on.aborted);
   let rate = Experiments.Method_cache.hit_rate on in
   if rate < 0.5 then
-    Alcotest.failf "hit rate %.2f misses the 0.5 floor (%d hits, %d misses)" rate on.cache_hits
-      on.cache_misses;
-  let factor = Experiments.Method_cache.message_factor ~baseline:base ~on in
+    Alcotest.failf "hit rate %.2f misses the 0.5 floor (%d hits, %d misses)" rate
+      (counter on "cache_hits") (counter on "cache_misses");
+  let factor = float_of_int base.messages /. float_of_int on.messages in
   if factor < 5.0 then
     Alcotest.failf "message factor %.2fx misses the 5x floor (%d vs %d msgs)" factor
       base.messages on.messages
 
 (* Every protocol must keep its invariants with the cache on and actually
-   use it on the read-heavy point (run_case asserts the rest). *)
+   use it on the read-heavy point (Ab.run asserts the rest). *)
 let test_all_protocols_cache () =
   List.iter
     (fun protocol ->
-      let o =
-        Experiments.Method_cache.run_case ~spec:Workload.Scenarios.web_sessions
-          (cached_case protocol 0.95)
-      in
-      if o.cache_hits = 0 then
+      let o = cache_run protocol cached 0.95 in
+      if counter o "cache_hits" = 0 then
         Alcotest.failf "%s: cache never hit" (Dsm.Protocol.to_string protocol))
     Dsm.Protocol.all
 
 (* Recall racing an in-flight cached invocation: at a 0.8 read share the
    web-sessions run interleaves writes (lease recalls, epoch bumps) with a
    steady stream of cached reads, so invalidations land while cached
-   invocations are outstanding. run_case asserts the committed history
+   invocations are outstanding. Ab.run asserts the committed history
    stays serializable and the wire ledger still reconciles exactly. *)
 let test_recall_races_cached_reads () =
-  let o =
-    Experiments.Method_cache.run_case ~spec:Workload.Scenarios.web_sessions
-      (cached_case Dsm.Protocol.Lotec 0.8)
-  in
-  Alcotest.(check bool) "cache hit under write pressure" true (o.cache_hits > 0);
-  Alcotest.(check bool) "recalls invalidated entries" true (o.cache_invalidations > 0);
-  Alcotest.(check bool) "writes were present" true (o.aborted + o.committed > 0 && o.cache_misses > 0)
+  let o = cache_run Dsm.Protocol.Lotec cached 0.8 in
+  Alcotest.(check bool) "cache hit under write pressure" true (counter o "cache_hits" > 0);
+  Alcotest.(check bool) "recalls invalidated entries" true
+    (counter o "cache_invalidations" > 0);
+  Alcotest.(check bool) "writes were present" true
+    (o.aborted + o.committed > 0 && counter o "cache_misses" > 0)
 
 (* Determinism: the cache adds lookups and invalidation hooks, but a
    repeated run must still be byte-identical. *)
 let test_cached_run_deterministic () =
   let spec = { Workload.Scenarios.web_sessions with Workload.Spec.root_count = 200 } in
-  let case = cached_case Dsm.Protocol.Lotec 0.95 in
-  let a = Experiments.Method_cache.run_case ~spec case in
-  let b = Experiments.Method_cache.run_case ~spec case in
+  let a = cache_run ~spec Dsm.Protocol.Lotec cached 0.95 in
+  let b = cache_run ~spec Dsm.Protocol.Lotec cached 0.95 in
   Alcotest.(check int) "messages" a.messages b.messages;
   Alcotest.(check int) "bytes" a.bytes b.bytes;
-  Alcotest.(check int) "hits" a.cache_hits b.cache_hits;
-  Alcotest.(check int) "fills" a.cache_fills b.cache_fills;
-  Alcotest.(check int) "invalidations" a.cache_invalidations b.cache_invalidations;
+  List.iter
+    (fun (name, c) -> Alcotest.(check int) name (counter a c) (counter b c))
+    [ ("hits", "cache_hits"); ("fills", "cache_fills"); ("invalidations", "cache_invalidations") ];
   Alcotest.(check (float 0.0)) "completion" a.completion_us b.completion_us
 
 (* ---------- cache under chaos and crash windows ---------- *)
