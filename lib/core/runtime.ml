@@ -47,6 +47,14 @@ module Itbl = Hashtbl.Make (struct
   let hash (x : int) = x
 end)
 
+(* Add [item] to the group of [key] in a list of groups ascending by key;
+   each group lists its items newest first. Commit-path groupings are a
+   handful of entries, too few to pay for a hash table. *)
+let rec add_to_group (key : int) item = function
+  | (k, items) :: rest when k = key -> (k, item :: items) :: rest
+  | ((k, _) as group) :: rest when k < key -> group :: add_to_group key item rest
+  | groups -> (key, [ item ]) :: groups
+
 (* (object, family) packed into one int: object id in the high bits,
    family id — dense, monotonically assigned — in the low bits, so the
    identity hash above spreads buckets well. Object ids are bounded at
@@ -142,6 +150,16 @@ type fam_escrow = {
   mutable fe_local : (Oid.t * int * int * int) list;
 }
 
+(* One transaction's own state, from its start until it pre-commits,
+   commits or aborts. *)
+type txn_state = {
+  recovery : Recovery.t;
+  (* The object its method executes on, for the run-time recursion check. *)
+  txn_oid : Oid.t;
+  mutable reads : Serializability.access list;  (* newest first *)
+  mutable writes : Serializability.access list;  (* newest first *)
+}
+
 type t = {
   cfg : Config.t;
   catalog : Catalog.t;
@@ -150,6 +168,11 @@ type t = {
   tree : Txn_tree.t;
   gdo : Gdo.Directory.t;
   stores : Dsm.Page_store.t array;
+  (* Per-node committed page versions, standing in for each node's commit
+     log: a root commit makes its dirty pages durable at their sites at the
+     commit point, before its release reaches the home. A crash keeps them
+     (see [crash_enter]). Empty unless crash or link windows are armed. *)
+  durable : Dsm.Page_store.t array;
   locks : Local_locks.t array;
   metrics : Dsm.Metrics.t;
   mutable next_version : int;
@@ -166,12 +189,7 @@ type t = {
   (* Family grant snapshots: the page map each family received for each
      object it holds; consulted for staleness checks and demand fetches. *)
   snapshots : Gdo.Directory.grant Oid.Table.t Txn_id.Table.t;
-  recovery_logs : Recovery.t Txn_id.Table.t;
-  (* object each transaction's method executes on; used by the run-time
-     recursion check. *)
-  txn_objects : Oid.t Txn_id.Table.t;
-  read_logs : Serializability.access list ref Txn_id.Table.t;
-  write_logs : Serializability.access list ref Txn_id.Table.t;
+  txns : txn_state Txn_id.Table.t;
   mutable history : Serializability.committed_root list;
   mutable results : root_result list;
   mutable outstanding : int;
@@ -426,6 +444,15 @@ let create ~config:cfg ~catalog =
       ?faults:cfg.Config.faults ~on_fault ~on_message ()
   in
   let tree = Txn_tree.create () in
+  (* Crash *or* link windows arm the whole failure-handling stack:
+     heartbeats, detectors, quorum membership, failover. A partition makes
+     messages loseable and nodes falsely suspectable, so it needs
+     everything a crash does except the state wipe. *)
+  let crash_enabled =
+    match cfg.Config.faults with
+    | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
+    | None -> false
+  in
   let t =
     {
       cfg;
@@ -435,6 +462,10 @@ let create ~config:cfg ~catalog =
       tree;
       gdo = Gdo.Directory.create ();
       stores = Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node);
+      durable =
+        (if crash_enabled then
+           Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node)
+         else [||]);
       locks = Array.init cfg.Config.node_count (fun _ -> Local_locks.create tree);
       metrics;
       next_version = 0;
@@ -442,10 +473,7 @@ let create ~config:cfg ~catalog =
       inflight = Itbl.create 16;
       transfers = Itbl.create 16;
       snapshots = Txn_id.Table.create 64;
-      recovery_logs = Txn_id.Table.create 64;
-      txn_objects = Txn_id.Table.create 64;
-      read_logs = Txn_id.Table.create 64;
-      write_logs = Txn_id.Table.create 64;
+      txns = Txn_id.Table.create 64;
       history = [];
       results = [];
       outstanding = 0;
@@ -486,14 +514,7 @@ let create ~config:cfg ~catalog =
       method_caches =
         Array.init cfg.Config.node_count (fun _ ->
             Dsm.Method_cache.create cfg.Config.method_cache);
-      (* Crash *or* link windows arm the whole failure-handling stack:
-         heartbeats, detectors, quorum membership, failover. A partition
-         makes messages loseable and nodes falsely suspectable, so it
-         needs everything a crash does except the state wipe. *)
-      crash_enabled =
-        (match cfg.Config.faults with
-        | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
-        | None -> false);
+      crash_enabled;
       crashed = Array.make cfg.Config.node_count false;
       incarnation = Array.make cfg.Config.node_count 0;
       doomed = Txn_id.Table.create 16;
@@ -794,20 +815,13 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
 (* ------------------------------------------------------------------ *)
 (* Per-transaction bookkeeping.                                        *)
 
-let init_txn_state t txn =
-  Txn_id.Table.replace t.recovery_logs txn (Recovery.create t.cfg.Config.recovery);
-  Txn_id.Table.replace t.read_logs txn (ref []);
-  Txn_id.Table.replace t.write_logs txn (ref [])
+let init_txn_state t txn ~oid =
+  Txn_id.Table.replace t.txns txn
+    { recovery = Recovery.create t.cfg.Config.recovery; txn_oid = oid; reads = []; writes = [] }
 
-let recovery_of t txn = Txn_id.Table.find t.recovery_logs txn
-let read_log t txn = Txn_id.Table.find t.read_logs txn
-let write_log t txn = Txn_id.Table.find t.write_logs txn
-
-let drop_txn_state t txn =
-  Txn_id.Table.remove t.recovery_logs txn;
-  Txn_id.Table.remove t.txn_objects txn;
-  Txn_id.Table.remove t.read_logs txn;
-  Txn_id.Table.remove t.write_logs txn
+let txn_state t txn = Txn_id.Table.find t.txns txn
+let recovery_of t txn = (txn_state t txn).recovery
+let drop_txn_state t txn = Txn_id.Table.remove t.txns txn
 
 let family_snapshots t family =
   match Txn_id.Table.find_opt t.snapshots family with
@@ -900,10 +914,10 @@ let note_recall_resolved t ~oid =
       Itbl.remove t.recall_started (Oid.to_int oid);
       Dsm.Metrics.record_recall_latency_us t.metrics (Sim.Engine.now t.engine -. t0)
 
-let process_lease_yield t ~oid ~node =
+let process_lease_yield t ~oid ~node ~epoch =
   Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
       Dsm.Metrics.incr_lease_yields t.metrics;
-      match Gdo.Lease.note_yield t.lease_mgr oid ~node with
+      match Gdo.Lease.note_yield t.lease_mgr oid ~node ~epoch with
       | `Cleared ->
           record_event t (fun () ->
               Dsm.Event.Lease_recall_cleared { oid; node = home_of t oid });
@@ -913,11 +927,13 @@ let process_lease_yield t ~oid ~node =
 
 (* Node-side: surrender a recalled lease. Rides the reliable transport so a
    yield survives fault injection (a lost yield is backstopped by the home's
-   TTL force-clear timer either way). *)
-let send_lease_yield t ~node ~oid =
+   TTL force-clear timer either way). The yield names the recall's epoch: a
+   retransmitted yield can outlive its recall, and must not count against
+   a later one. *)
+let send_lease_yield t ~node ~oid ~epoch =
   let home = home_of t oid in
   record_event t (fun () -> Dsm.Event.Lease_yield { oid; node });
-  let run () = process_lease_yield t ~oid ~node in
+  let run () = process_lease_yield t ~oid ~node ~epoch in
   if home = node then
     Sim.Engine.schedule t.engine ~delay:Sim.Network.local_delivery_cost_us run
   else
@@ -927,7 +943,7 @@ let send_lease_yield t ~node ~oid =
 (* Executed at a leased node when a Lease_recall arrives. *)
 let handle_lease_recall t ~node ~oid ~epoch ~excluded =
   match Gdo.Lease.Cache.recall t.lease_caches.(node) oid ~epoch ~excluded with
-  | `Yield -> send_lease_yield t ~node ~oid
+  | `Yield -> send_lease_yield t ~node ~oid ~epoch
   | `Deferred ->
       record_event t (fun () ->
           Dsm.Event.Lease_deferred
@@ -1127,6 +1143,8 @@ and node_escrow_yield t ~node ~home ~oid ~epoch =
   if epoch > l.el_epoch then begin
     l.el_epoch <- epoch;
     let carried = ref [] in
+    (* Each step edits only its own family's rows; the carried rows are
+       sorted by family before anything is sent or logged. *)
     Txn_id.Table.iter
       (fun f fe ->
         if Txn_tree.node_of t.tree f = node then
@@ -1416,17 +1434,10 @@ let rec process_release t ~home ~from ~family items =
    be lost); routing is re-evaluated each time, so the retry reaches the
    partition's current acting home. *)
 and gdo_release t ~node ~family items =
-  let by_home = Hashtbl.create 8 in
-  List.iter
-    (fun ((oid, _) as item) ->
-      let home = home_of t oid in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_home home) in
-      Hashtbl.replace by_home home (item :: cur))
-    items;
-  (* Ascending-home order, not hash order: the send sequence (and with it
-     every downstream timestamp) must not depend on the hash seed. *)
-  Hashtbl.fold (fun home items acc -> (home, items) :: acc) by_home []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  (* Ascending homes: the send sequence fixes every downstream timestamp. *)
+  List.fold_left
+    (fun groups ((oid, _) as item) -> add_to_group (home_of t oid) item groups)
+    [] items
   |> List.iter (fun (home, items) ->
          if home = node then process_release t ~home ~from:node ~family items
          else if t.batching.Dsm.Batching.coalesce_release && not t.crash_enabled then
@@ -1894,7 +1905,9 @@ let crash_enter t ~node:d =
   (* Doom every family executing at the node — rooted here, or with a
      function-shipped executor registered here (its uncommitted writes in
      this store are about to be wiped): ids are never reused, so the mark
-     permanently fences the family's pre-crash stragglers. *)
+     permanently fences the family's pre-crash stragglers. Iteration order
+     cannot escape: each step only adds to [doomed], which is never
+     iterated, only tested with [mem]. *)
   Txn_id.Table.iter
     (fun f () ->
       if
@@ -1949,17 +1962,23 @@ let crash_enter t ~node:d =
         && not (Sim.Engine.Ivar.is_filled sw.sw_iv)
       then Sim.Engine.Ivar.fill sw.sw_iv Ship_crashed)
     t.ship_waits;
-  (* Volatile-state loss: the page cache keeps only what the page map
-     records as durable here (the node owns the newest published version);
-     every other copy is gone until re-fetched. *)
+  (* Volatile-state loss: the page cache keeps only what is durable here —
+     the newest published version where the page map names this node, and
+     any version a root committed here that is newer than the map (its
+     release was still on the way to the home); every other copy is gone
+     until re-fetched. *)
   List.iter
     (fun oid ->
       let page_nodes, page_versions = Gdo.Directory.page_map t.gdo oid in
       Array.iteri
         (fun p owner ->
-          if owner = d then
-            Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version:page_versions.(p)
-          else Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version:Dsm.Page_store.absent)
+          let committed = Dsm.Page_store.version t.durable.(d) oid ~page:p in
+          let version =
+            if committed > page_versions.(p) then committed
+            else if owner = d then page_versions.(p)
+            else Dsm.Page_store.absent
+          in
+          Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version)
         page_nodes)
     (Catalog.oids t.catalog);
   (* The lease cache is volatile too, and the method cache dies with it.
@@ -2301,8 +2320,9 @@ let lease_hit t ~node ~oid ~mode =
 (* A family's lease-backed read on [oid] ended (commit, abort, or upgrade):
    drop the reader; if a deferred recall was waiting on it, yield now. *)
 let lease_release t ~node ~family ~oid =
-  match Gdo.Lease.Cache.remove_reader t.lease_caches.(node) oid ~family with
-  | `Yield -> send_lease_yield t ~node ~oid
+  let cache = t.lease_caches.(node) in
+  match Gdo.Lease.Cache.remove_reader cache oid ~family with
+  | `Yield -> send_lease_yield t ~node ~oid ~epoch:(Gdo.Lease.Cache.recall_epoch cache oid)
   | `Nothing -> ()
 
 (* TTL doom (see Gdo.Lease): lease-backed reads are only as good as the
@@ -2655,10 +2675,9 @@ let precommit_txn t txn =
       else park_log t ~owner:parent ~site log)
     (parked_of t txn);
   drop_parked t txn;
-  let rl = read_log t txn and prl = read_log t parent in
-  prl := !rl @ !prl;
-  let wl = write_log t txn and pwl = write_log t parent in
-  pwl := !wl @ !pwl;
+  let child = txn_state t txn and ps = txn_state t parent in
+  ps.reads <- child.reads @ ps.reads;
+  ps.writes <- child.writes @ ps.writes;
   Txn_tree.set_status t.tree txn Txn_tree.Precommitted;
   record_event t (fun () -> Dsm.Event.Precommit { txn; parent; node });
   drop_txn_state t txn
@@ -2745,26 +2764,31 @@ let abort_sub_txn t txn =
 (* Dirty info for the family's release: for every page its undo log touched,
    report the final local version so the GDO page map points here. *)
 let dirty_items t ~node ~root released =
-  let log = recovery_of t root in
-  let dirty = Recovery.dirty_pages log in
-  let by_oid = Hashtbl.create 8 in
-  List.iter
-    (fun (oid, page) ->
-      let v = Dsm.Page_store.version t.stores.(node) oid ~page in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_oid (Oid.to_int oid)) in
-      Hashtbl.replace by_oid (Oid.to_int oid) ((page, v, node) :: cur))
-    dirty;
+  let dirty = Recovery.dirty_pages (recovery_of t root) in
   (* Locks are held to root commit (rule 2), so every dirty object must
      still be family-held — otherwise its dirty info would be lost here. *)
   List.iter
     (fun (oid, _) ->
-      if not (List.exists (fun o -> Oid.to_int o = Oid.to_int oid) released) then
+      if not (List.exists (Oid.equal oid) released) then
         failwith
           (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
     dirty;
+  (* Pages descending within an object under undo logging, whose
+     [dirty_pages] is ascending. *)
+  let by_oid =
+    List.fold_left
+      (fun groups (oid, page) ->
+        add_to_group (Oid.to_int oid)
+          (page, Dsm.Page_store.version t.stores.(node) oid ~page, node)
+          groups)
+      [] dirty
+  in
   List.map
     (fun oid ->
-      (oid, Option.value ~default:[] (Hashtbl.find_opt by_oid (Oid.to_int oid))))
+      let key = Oid.to_int oid in
+      match List.find_opt (fun (k, _) -> k = key) by_oid with
+      | Some (_, items) -> (oid, items)
+      | None -> (oid, []))
     released
 
 (* RC-nested: push dirty pages to every caching site at root release. The
@@ -2808,14 +2832,6 @@ let eager_push t ~node items =
         end
       end)
     items
-
-let dedup_accesses accesses =
-  let module S = Set.Make (struct
-    type t = Serializability.access
-
-    let compare = compare
-  end) in
-  S.elements (S.of_list accesses)
 
 (* Split one site's released objects into lease-backed reads (released
    against the site's lease cache, no directory traffic) and directory
@@ -2927,6 +2943,17 @@ let escrow_resolve_family t root ~node ~commit =
               ~tag:(tag_of oid) resolve)
         (List.sort Oid.compare fe.fe_home)
 
+(* The commit point makes a family's dirty pages durable at the sites that
+   hold them (see [durable]). *)
+let make_durable t items =
+  if t.crash_enabled then
+    List.iter
+      (fun (oid, dirty) ->
+        List.iter
+          (fun (page, version, site) -> Dsm.Page_store.receive t.durable.(site) oid ~page ~version)
+          dirty)
+      items
+
 (* Runs entirely without yielding (waits happen at the caller, before the
    commit point), so a crash window can never tear a commit: either the
    family crash-aborts before the commit point, or every commit-side
@@ -2943,6 +2970,7 @@ let commit_root t root =
         List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
       in
       if push_items <> [] then eager_push t ~node push_items;
+      make_durable t items;
       gdo_release t ~node ~family:root items;
       List.length released
     end
@@ -2999,6 +3027,7 @@ let commit_root t root =
               List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
             in
             if push_items <> [] then eager_push t ~node:site push_items;
+            make_durable t items;
             gdo_release t ~node:site ~family:root items
           end)
         (family_exec_sites t ~family:root ~node);
@@ -3019,8 +3048,8 @@ let commit_root t root =
     t.history <-
       {
         Serializability.root;
-        reads = dedup_accesses !(read_log t root);
-        writes = dedup_accesses !(write_log t root);
+        reads = Serializability.dedup_accesses (txn_state t root).reads;
+        writes = Serializability.dedup_accesses (txn_state t root).writes;
       }
       :: t.history;
   Txn_tree.set_status t.tree root Txn_tree.Committed;
@@ -3105,12 +3134,12 @@ let crashed_purge_root t root =
 (* Method execution.                                                   *)
 
 let log_read t txn ~oid ~page ~version =
-  let l = read_log t txn in
-  l := { Serializability.oid; page; version } :: !l
+  let s = txn_state t txn in
+  s.reads <- { Serializability.oid; page; version } :: s.reads
 
 let log_write t txn ~oid ~page ~version =
-  let l = write_log t txn in
-  l := { Serializability.oid; page; version } :: !l
+  let s = txn_state t txn in
+  s.writes <- { Serializability.oid; page; version } :: s.writes
 
 (* ------------------------------------------------------------------ *)
 (* Method-result cache (see Dsm.Method_cache). Only read-only leaf
@@ -3192,12 +3221,15 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
     | None -> ()
     | Some g ->
         let reads =
-          List.sort_uniq compare
+          List.sort_uniq
+            (fun (p1, v1) (p2, v2) ->
+              let c = Int.compare p1 p2 in
+              if c <> 0 then c else Int.compare v1 v2)
             (List.filter_map
                (fun (a : Serializability.access) ->
                  if Oid.equal a.Serializability.oid oid then Some (a.page, a.version)
                  else None)
-               !(read_log t txn))
+               (txn_state t txn).reads)
         in
         if
           List.for_all
@@ -3258,8 +3290,8 @@ let spawn_prefetches t ~txn ~oid ~(cm : Obj_class.compiled_method) =
    per level. *)
 let check_no_recursion t ~parent ~target =
   let rec climb txn depth =
-    (match Txn_id.Table.find_opt t.txn_objects txn with
-    | Some o when Oid.equal o target -> raise (Recursion_rejected target)
+    (match Txn_id.Table.find_opt t.txns txn with
+    | Some s when Oid.equal s.txn_oid target -> raise (Recursion_rejected target)
     | _ -> ());
     match Txn_tree.parent t.tree txn with
     | Some p -> climb p (depth + 1)
@@ -3332,7 +3364,6 @@ let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
 let rec run_body t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) =
   let node = Txn_tree.node_of t.tree txn in
   let family = Txn_tree.root_of t.tree txn in
-  Txn_id.Table.replace t.txn_objects txn oid;
   if try_cache_serve t ~txn ~oid ~cm then ()
   else if escrow_try t ~oid ~cm ~node ~family then ()
   else run_body_exec t ~prng ~txn ~oid ~cm ~node ~family
@@ -3423,7 +3454,7 @@ and run_child_attempts t ~prng ~parent ~oid ~meth ~site =
   let family = Txn_tree.root_of t.tree parent in
   let rec attempt k =
     let txn = Txn_tree.create_child ~node:site t.tree ~parent in
-    init_txn_state t txn;
+    init_txn_state t txn ~oid;
     let ok =
       try
         run_body t ~prng ~txn ~oid ~cm;
@@ -3581,7 +3612,11 @@ let submit t ~at ~node ~oid ~meth ~seed =
     invalid_arg "Runtime.submit: node out of range";
   let cm = Catalog.find_method t.catalog oid meth in
   t.outstanding <- t.outstanding + 1;
-  let name = Format.asprintf "root:%a.%s@%d" Oid.pp oid meth node in
+  (* Read only when a run stalls; built without Format, which would cost
+     more than the rest of a short root's bookkeeping. *)
+  let name =
+    "root:O" ^ string_of_int (Oid.to_int oid) ^ "." ^ meth ^ "@" ^ string_of_int node
+  in
   Sim.Engine.schedule t.engine ~delay:at (fun () ->
       Sim.Engine.spawn t.engine ~name (fun () ->
           let prng = Sim.Prng.create ~seed in
@@ -3611,7 +3646,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
             in
             wait_ready ();
             let root = Txn_tree.create_root t.tree ~node in
-            init_txn_state t root;
+            init_txn_state t root ~oid;
             if t.crash_enabled then Txn_id.Table.replace t.live_roots root ();
             record_event t (fun () ->
                 Dsm.Event.Root_begin { family = root; node; oid; attempt = k + 1 });

@@ -7,6 +7,15 @@ type committed_root = { root : Txn_id.t; reads : access list; writes : access li
 
 type verdict = Serializable of Txn_id.t list | Cyclic of Txn_id.t list
 
+let compare_access a b =
+  let c = Oid.compare a.oid b.oid in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.page b.page in
+    if c <> 0 then c else Int.compare a.version b.version
+
+let dedup_accesses accesses = List.sort_uniq compare_access accesses
+
 module PageTable = Hashtbl.Make (struct
   type t = Oid.t * int
 
@@ -276,24 +285,26 @@ let check_escrow ~lower ~upper ~initial ~ops =
           assert_state i oid s)
     ops;
   (* End of run: every reservation resolved, every local delta reconciled.
-     Unresolved reservations are listed latest reserve first. *)
-  Oid.Table.iter
-    (fun oid s ->
+     Objects ascending, then unresolved reservations latest reserve first,
+     then nodes ascending. *)
+  let by_oid =
+    Oid.Table.fold (fun oid s acc -> (oid, s) :: acc) objects []
+    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  in
+  List.iter
+    (fun (oid, s) ->
       Txn_id.Table.fold (fun f (d, at) acc -> (at, f, d) :: acc) s.res []
       |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)
       |> List.iter (fun (_, f, d) ->
              err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn_id.pp f);
-      Hashtbl.iter
-        (fun n ns ->
-          if ns.pending <> 0 then
-            err "end: %a node %d still has %+d unreconciled" Oid.pp oid n ns.pending)
-        s.nodes;
+      Hashtbl.fold (fun n ns acc -> (n, ns) :: acc) s.nodes []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.iter (fun (n, ns) ->
+             if ns.pending <> 0 then
+               err "end: %a node %d still has %+d unreconciled" Oid.pp oid n ns.pending);
       if s.value <> initial + s.committed then
         err "end: %a final value %d <> initial %d + committed %d" Oid.pp oid s.value initial
           s.committed)
-    objects;
-  let finals =
-    Oid.Table.fold (fun oid s acc -> (oid, s.value) :: acc) objects []
-    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
-  in
+    by_oid;
+  let finals = List.map (fun (oid, s) -> (oid, s.value)) by_oid in
   if !errors = [] then Ok finals else Error (List.rev !errors)

@@ -23,6 +23,10 @@ type committed_root = {
   writes : access list;  (** versions produced *)
 }
 
+val dedup_accesses : access list -> access list
+(** Ascending by (object, page, version), duplicates dropped: the form of
+    a committed root's read and write sets. *)
+
 type verdict =
   | Serializable of Txn_id.t list  (** a witness serialization order *)
   | Cyclic of Txn_id.t list  (** a conflict cycle *)

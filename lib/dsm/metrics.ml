@@ -433,13 +433,16 @@ let object_time_us_am t oid ~link ~control_software_cost_us =
   time_of_am ~control_messages:e.control_messages ~data_messages:e.data_messages
     ~bytes:(e.control_bytes + e.data_bytes) ~link ~control_software_cost_us
 
+(* The cost model is linear, so the integer totals give the sum over
+   objects — without a float sum whose rounding would follow table order. *)
 let total_time_us_am t ~link ~control_software_cost_us =
-  Oid.Table.fold
-    (fun _ e acc ->
-      acc
-      +. time_of_am ~control_messages:e.control_messages ~data_messages:e.data_messages
-           ~bytes:(e.control_bytes + e.data_bytes) ~link ~control_software_cost_us)
-    t.objects 0.0
+  let control_messages, data_messages =
+    Oid.Table.fold
+      (fun _ e (c, d) -> (c + e.control_messages, d + e.data_messages))
+      t.objects (0, 0)
+  in
+  time_of_am ~control_messages ~data_messages ~bytes:(total_bytes t) ~link
+    ~control_software_cost_us
 
 let size_histogram t =
   Array.to_list (Array.mapi (fun i count -> (bucket_bounds.(i), count)) t.size_buckets)

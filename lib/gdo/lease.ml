@@ -55,6 +55,7 @@ let pp_policy fmt = function
 
 type recall_state = {
   r_token : int;
+  r_epoch : int;  (* the epoch being recalled; yields must name it *)
   mutable r_awaiting : int list;
   r_excluded : Txn_id.t option;
 }
@@ -160,16 +161,16 @@ let begin_recall t oid ~now ~excluded =
           let token = t.next_token in
           let nodes = List.sort Int.compare (List.map fst grants) in
           let deadline = List.fold_left (fun acc (_, exp) -> Float.max acc exp) now grants in
-          e.recall <- Some { r_token = token; r_awaiting = nodes; r_excluded = excluded };
+          e.recall <-
+            Some { r_token = token; r_epoch = e.epoch; r_awaiting = nodes; r_excluded = excluded };
           `Recall { ro_nodes = nodes; ro_epoch = e.epoch; ro_deadline = deadline; ro_token = token })
 
-let note_yield t oid ~node =
+let note_yield t oid ~node ~epoch =
   match Oid.Table.find_opt t.entries oid with
   | None -> `Stale
   | Some e -> (
       match e.recall with
-      | None -> `Stale
-      | Some r ->
+      | Some r when r.r_epoch = epoch ->
           r.r_awaiting <- List.filter (fun n -> n <> node) r.r_awaiting;
           e.grants <- List.remove_assoc node e.grants;
           if r.r_awaiting = [] then begin
@@ -177,7 +178,8 @@ let note_yield t oid ~node =
             e.grants <- [];
             `Cleared
           end
-          else `Waiting)
+          else `Waiting
+      | Some _ | None -> `Stale)
 
 let recall_token t oid =
   match Oid.Table.find_opt t.entries oid with
@@ -201,6 +203,8 @@ let force_clear t oid ~token =
    writes for the returned objects, exactly as after a final yield. *)
 let evict_node t ~node =
   let cleared = ref [] in
+  (* Each step edits only its own entry, and the cleared objects are
+     returned sorted, so table order cannot escape. *)
   Oid.Table.iter
     (fun oid e ->
       e.grants <- List.remove_assoc node e.grants;
@@ -262,6 +266,8 @@ module Cache = struct
 
   let floor_of c oid =
     match Oid.Table.find_opt c.recall_floor oid with Some e -> e | None -> -1
+
+  let recall_epoch = floor_of
 
   let install c oid ~grant ~expires ~epoch =
     if epoch > floor_of c oid then
@@ -373,10 +379,13 @@ module Cache = struct
   let entry_count c = Oid.Table.length c.c_entries
 
   let drop_expired c ~now =
+    (* Ascending oid, not table order: the invalidation subscriber sees the
+       drops in this order. *)
     let dead =
       Oid.Table.fold
         (fun oid e acc -> if e.readers = [] && now >= e.expires then oid :: acc else acc)
         c.c_entries []
+      |> List.sort Oid.compare
     in
     List.iter
       (fun oid ->

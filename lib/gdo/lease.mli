@@ -131,10 +131,12 @@ val begin_recall :
 val excluded_family : t -> Objmodel.Oid.t -> Txn_id.t option
 (** The family the in-progress recall excludes, if any. *)
 
-val note_yield : t -> Objmodel.Oid.t -> node:int -> [ `Cleared | `Waiting | `Stale ]
-(** A [Lease_yield] arrived. [`Cleared]: that was the last awaited node —
-    run the blocked writes. [`Stale]: no recall in progress (late or
-    duplicated yield) — ignore. *)
+val note_yield :
+  t -> Objmodel.Oid.t -> node:int -> epoch:int -> [ `Cleared | `Waiting | `Stale ]
+(** A [Lease_yield] for the recall of [epoch] arrived. [`Cleared]: that was
+    the last awaited node — run the blocked writes. [`Stale]: no recall of
+    that epoch in progress (a late or duplicated yield, or one answering an
+    earlier recall that was force-cleared before it arrived) — ignore. *)
 
 val recall_token : t -> Objmodel.Oid.t -> int option
 (** Token of the in-progress recall, if any. A poller armed by
@@ -208,6 +210,10 @@ module Cache : sig
       still running; {!remove_reader} will surface the yield when the last
       one drains. Idempotent: a retransmitted recall on an already-yielded
       or absent entry is [`Yield] again (the home dedups). *)
+
+  val recall_epoch : cache -> Objmodel.Oid.t -> int
+  (** The highest epoch a recall of the object was delivered for (-1 if
+      none): the epoch a deferred yield from {!remove_reader} answers. *)
 
   val valid : cache -> Objmodel.Oid.t -> family:Txn_id.t -> now:float -> bool
   (** Commit-time (and upgrade-time) validation of a lease-backed read:

@@ -15,15 +15,11 @@ let merge_into_parent ~child ~parent =
 let entries_newest_first t = t.records
 
 let dirty_pages t =
-  let module PS = Set.Make (struct
-    type t = Oid.t * int
-
-    let compare (o1, p1) (o2, p2) =
+  List.sort_uniq
+    (fun (o1, p1) (o2, p2) ->
       let c = Oid.compare o1 o2 in
-      if c <> 0 then c else Int.compare p1 p2
-  end) in
-  let set = List.fold_left (fun acc r -> PS.add (r.oid, r.page) acc) PS.empty t.records in
-  PS.elements set
+      if c <> 0 then c else Int.compare p1 p2)
+    (List.map (fun r -> (r.oid, r.page)) t.records)
 
 let is_empty t = t.records = []
 let length t = List.length t.records

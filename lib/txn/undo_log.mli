@@ -32,8 +32,9 @@ val entries_newest_first : t -> record list
 (** All records, newest first — the order in which undo must be applied. *)
 
 val dirty_pages : t -> (Objmodel.Oid.t * int) list
-(** Deduplicated (object, page) pairs written under this log, in no
-    particular order. At root commit this is the family's dirty-page set. *)
+(** Deduplicated (object, page) pairs written under this log, ascending by
+    object and then page. At root commit this is the family's dirty-page
+    set. *)
 
 val is_empty : t -> bool
 

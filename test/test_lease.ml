@@ -88,12 +88,12 @@ let test_manager_recall_lifecycle () =
   Alcotest.(check bool) "second recall parked" true
     (Gdo.Lease.begin_recall t (oid 1) ~now:110.0 ~excluded:None = `In_progress);
   Alcotest.(check bool) "yield 1 waiting" true
-    (Gdo.Lease.note_yield t (oid 1) ~node:1 = `Waiting);
+    (Gdo.Lease.note_yield t (oid 1) ~node:1 ~epoch:0 = `Waiting);
   Alcotest.(check bool) "yield 3 clears" true
-    (Gdo.Lease.note_yield t (oid 1) ~node:3 = `Cleared);
+    (Gdo.Lease.note_yield t (oid 1) ~node:3 ~epoch:0 = `Cleared);
   Alcotest.(check bool) "token gone" true (Gdo.Lease.recall_token t (oid 1) = None);
   Alcotest.(check bool) "late yield stale" true
-    (Gdo.Lease.note_yield t (oid 1) ~node:1 = `Stale);
+    (Gdo.Lease.note_yield t (oid 1) ~node:1 ~epoch:0 = `Stale);
   (* Nothing outstanding: a fresh write sails through. *)
   Alcotest.(check bool) "clear now" true
     (Gdo.Lease.begin_recall t (oid 1) ~now:200.0 ~excluded:None = `Clear)
@@ -113,7 +113,17 @@ let test_manager_force_clear_and_epoch () =
   Alcotest.(check int) "epoch still 0" 0 (Gdo.Lease.epoch t (oid 1));
   Gdo.Lease.note_write_granted t (oid 1);
   Gdo.Lease.note_write_granted t (oid 1);
-  Alcotest.(check int) "epoch bumps per write grant" 2 (Gdo.Lease.epoch t (oid 1))
+  Alcotest.(check int) "epoch bumps per write grant" 2 (Gdo.Lease.epoch t (oid 1));
+  (* A yield answering the force-cleared epoch-0 recall, delayed past it,
+     must not count against the next recall. *)
+  ignore (Gdo.Lease.lease_for_grant t (oid 1) ~node:1 ~now:20.0 ~writer_queued:false);
+  ignore (Gdo.Lease.begin_recall t (oid 1) ~now:30.0 ~excluded:None);
+  Alcotest.(check bool) "earlier recall's yield is stale" true
+    (Gdo.Lease.note_yield t (oid 1) ~node:1 ~epoch:0 = `Stale);
+  Alcotest.(check bool) "recall still in progress" true
+    (Gdo.Lease.recall_in_progress t (oid 1));
+  Alcotest.(check bool) "this recall's yield clears" true
+    (Gdo.Lease.note_yield t (oid 1) ~node:1 ~epoch:2 = `Cleared)
 
 let test_manager_adaptive () =
   let t =
@@ -312,18 +322,36 @@ let leased_config ?(windows = []) ~fault_seed ~drop ~dup ~jitter () =
 
 (* Recalls and yields ride the reliable transport: with drops and
    duplicates injected, every chaos invariant still holds (Runner.execute
-   asserts serializability; Failure fails the test). *)
+   asserts serializability; Failure fails the test).
+
+   The second case is a regression: a yield for an earlier recall of O5
+   (epoch 0, force-cleared before the retransmitted yield arrived) reached
+   the home during a later recall (epoch 3) and was counted against it. The
+   later recall cleared while node 0 still held its epoch-3 lease, node 0
+   went on serving lease hits of the old O5, and LOTEC committed the cycle
+   T2 -> T10 -> T77. The property "lease invariants hold under faults"
+   found it with QCHECK_SEED=1687. *)
 let test_leases_under_faults () =
-  let config = leased_config ~fault_seed:11 ~drop:0.08 ~dup:0.08 ~jitter:40.0 () in
-  let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
-  let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
-  let m = Experiments.Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  Alcotest.(check int) "all roots accounted" chaos_spec.Workload.Spec.root_count
-    (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
-  Alcotest.(check bool) "ledger balanced" true (Experiments.Chaos.ledger_balanced m);
-  Alcotest.(check bool) "faults were injected" true (t.Dsm.Metrics.drops > 0);
-  Alcotest.(check bool) "leases were exercised" true (t.Dsm.Metrics.lease_grants > 0)
+  List.iter
+    (fun config ->
+      let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
+      let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
+      let m = Experiments.Runner.metrics run in
+      let t = Dsm.Metrics.totals m in
+      Alcotest.(check int) "all roots accounted" chaos_spec.Workload.Spec.root_count
+        (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
+      Alcotest.(check bool) "ledger balanced" true (Experiments.Chaos.ledger_balanced m);
+      Alcotest.(check bool) "faults were injected" true (t.Dsm.Metrics.drops > 0);
+      Alcotest.(check bool) "leases were exercised" true (t.Dsm.Metrics.lease_grants > 0))
+    [
+      leased_config ~fault_seed:11 ~drop:0.08 ~dup:0.08 ~jitter:40.0 ();
+      {
+        (leased_config ~fault_seed:601 ~drop:0.091486338767872433 ~dup:0.022884227258491253
+           ~jitter:20.0 ())
+        with
+        Core.Config.lease = Gdo.Lease.Fixed_ttl { ttl_us = 20546.956707814654 };
+      };
+    ]
 
 (* Recalls racing node pause/crash windows: a recall sent into an outage is
    retransmitted (or resolved by the TTL force-clear), and the run still

@@ -188,6 +188,42 @@ let test_flat_alloc_per_event () =
     Alcotest.failf "words/event grew with run length: %.1f at 10k roots, %.1f at 40k" small
       large
 
+(* Per-root fixed cost: on the bank preset under escrow a root dispatches
+   under ten events, so any per-root bookkeeping (a formatted fiber name, a
+   functor applied per call, a hash table built per commit) dominates the
+   words allocated per event. History-keeping (not streaming), arrivals at
+   the benchmark's steady 200 us; submit and run are both measured. *)
+let bank_escrow_words_per_event ~roots =
+  let spec =
+    { Workload.Scenarios.bank with Workload.Spec.root_count = roots; arrival_mean_us = 200.0 }
+  in
+  let config =
+    {
+      Core.Config.default with
+      Core.Config.protocol = Dsm.Protocol.Lotec;
+      node_count = spec.Workload.Spec.node_count;
+      escrow = Dsm.Escrow.On Dsm.Escrow.default_params;
+    }
+  in
+  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+  let rt = Core.Runtime.create ~config ~catalog:wl.Workload.Generator.catalog in
+  let words (g : Gc.stat) = g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words in
+  let g0 = Gc.quick_stat () in
+  submit_all rt wl;
+  Core.Runtime.run rt;
+  let g1 = Gc.quick_stat () in
+  let totals = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
+  Alcotest.(check int) "every root committed" roots totals.Dsm.Metrics.roots_committed;
+  (words g1 -. words g0)
+  /. float_of_int (Sim.Engine.stats (Core.Runtime.engine rt)).Sim.Engine.dispatched
+
+(* About 93 words/event on OCaml 5.1; about 225 with the per-root fixed
+   costs above. *)
+let test_bank_escrow_alloc_ceiling () =
+  let w = bank_escrow_words_per_event ~roots:4_000 in
+  if w > 120.0 then
+    Alcotest.failf "bank-escrow allocates %.1f words/event, ceiling 120" w
+
 let tests =
   [
     ( "scale",
@@ -201,6 +237,8 @@ let tests =
         Alcotest.test_case "engine bench + json" `Quick test_engine_bench_and_json;
         Alcotest.test_case "per_sec clamps" `Quick test_per_sec_clamps;
         Alcotest.test_case "flat words per event" `Slow test_flat_alloc_per_event;
+        Alcotest.test_case "bank-escrow words per event ceiling" `Quick
+          test_bank_escrow_alloc_ceiling;
         Alcotest.test_case "100k determinism golden" `Slow test_scale_determinism;
       ] );
   ]

@@ -398,6 +398,31 @@ let test_deep_chain () =
       Alcotest.(check bool) "chain order" true (List.map Txn_id.to_int order = List.init n Fun.id)
   | Cyclic _ -> Alcotest.fail "must be serializable"
 
+(* [dedup_accesses] replaced a Set.Make over polymorphic [compare]; the
+   old version is kept here as the reference. Small ranges force
+   duplicates. *)
+let dedup_reference accesses =
+  let module S = Set.Make (struct
+    type t = access
+
+    let compare = compare
+  end) in
+  S.elements (S.of_list accesses)
+
+let qcheck_dedup_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      list_size (0 -- 40)
+        (map3 (fun o p v -> acc o p v) (0 -- 5) (0 -- 3) (0 -- 4)))
+  in
+  let print l =
+    String.concat "; "
+      (List.map (fun a -> Printf.sprintf "O%d.%d@%d" (Oid.to_int a.oid) a.page a.version) l)
+  in
+  QCheck.Test.make ~name:"dedup_accesses equals the Set.Make reference" ~count:500
+    (QCheck.make ~print gen)
+    (fun l -> dedup_accesses l = dedup_reference l)
+
 let tests =
   [
     ( "serializability",
@@ -416,5 +441,6 @@ let tests =
         QCheck_alcotest.to_alcotest qcheck_edges_match_reference;
         Alcotest.test_case "hot page edge count" `Quick test_hot_page;
         Alcotest.test_case "deep chain bounded stack" `Quick test_deep_chain;
+        QCheck_alcotest.to_alcotest qcheck_dedup_matches_reference;
       ] );
   ]

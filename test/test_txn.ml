@@ -342,6 +342,31 @@ let test_undo_dirty_pages_dedup () =
   Alcotest.(check (list (pair int int))) "deduped" [ (1, 0); (2, 3) ]
     (List.map (fun (o, p) -> (Oid.to_int o, p)) (Undo_log.dirty_pages l))
 
+(* [dirty_pages] replaced a Set.Make over (object, page); the old version
+   is kept here as the reference. *)
+let dirty_pages_reference l =
+  let module PS = Set.Make (struct
+    type t = Oid.t * int
+
+    let compare (o1, p1) (o2, p2) =
+      let c = Oid.compare o1 o2 in
+      if c <> 0 then c else Int.compare p1 p2
+  end) in
+  List.fold_left
+    (fun acc (r : Undo_log.record) -> PS.add (r.Undo_log.oid, r.Undo_log.page) acc)
+    PS.empty (Undo_log.entries_newest_first l)
+  |> PS.elements
+
+let qcheck_dirty_pages_match_reference =
+  QCheck.Test.make ~name:"undo dirty pages equal the Set.Make reference" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 40) (triple (int_bound 5) (int_bound 3) (int_bound 9)))
+    (fun writes ->
+      let l = Undo_log.create () in
+      List.iter
+        (fun (o, page, prev_version) -> Undo_log.record l ~oid:(oid o) ~page ~prev_version)
+        writes;
+      Undo_log.dirty_pages l = dirty_pages_reference l)
+
 let test_undo_replay_restores_store () =
   (* Applying undo records newest-first over a page store restores the exact
      pre-transaction state, even with repeated writes to one page. *)
@@ -391,6 +416,7 @@ let tests =
         Alcotest.test_case "undo record order" `Quick test_undo_record_order;
         Alcotest.test_case "undo merge" `Quick test_undo_merge_keeps_child_newer;
         Alcotest.test_case "undo dirty pages" `Quick test_undo_dirty_pages_dedup;
+        QCheck_alcotest.to_alcotest qcheck_dirty_pages_match_reference;
         Alcotest.test_case "undo replay restores" `Quick test_undo_replay_restores_store;
       ] );
   ]

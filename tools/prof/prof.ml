@@ -1,8 +1,11 @@
 (* Sampling profiler: runs one streaming scale point (LOTEC by default)
    under a CPU-time interval timer and records the OCaml call stack at
    every tick, then prints the frames seen most often on top of the stack
-   (self) and anywhere in it (inclusive). Stdlib and unix only; frames are
-   named from the executable's debug info.
+   (self) and anywhere in it (inclusive), and then the samples spent
+   outside the repository's code charged to the repository frame that
+   called out (a [Format] or [Set] call hidden inside a helper shows up
+   there, not as anonymous stdlib self time). Stdlib and unix only; frames
+   are named from the executable's debug info.
 
    Usage: prof.exe [ROOTS] [NODES] [PROTOCOL]   (default 40000 64 lotec) *)
 
@@ -11,6 +14,7 @@ let depth = 64
 let samples = ref 0
 let self : (string, int) Hashtbl.t = Hashtbl.create 256
 let incl : (string, int) Hashtbl.t = Hashtbl.create 256
+let charged : (string, int) Hashtbl.t = Hashtbl.create 256
 let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let frame slot =
@@ -18,6 +22,26 @@ let frame slot =
   | Some name, _ -> name
   | None, Some l -> Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number
   | None, None -> "?"
+
+(* Frames of this repository's libraries and executables, by the module
+   path prefix dune gives them; everything else is stdlib or unix. *)
+let repo_prefixes =
+  [ "Sim__"; "Objmodel__"; "Txn__"; "Gdo__"; "Dsm__"; "Core__"; "Workload__"; "Experiments__";
+    "Dune__exe__" ]
+
+let is_repo frame = List.exists (fun prefix -> String.starts_with ~prefix frame) repo_prefixes
+
+(* A sample whose top frame is outside the repository goes to the innermost
+   repository frame below it, keyed with the outside function it called. *)
+let charge = function
+  | top :: rest when not (is_repo top) ->
+      let rec walk entry = function
+        | [] -> ()
+        | f :: _ when is_repo f -> bump charged (f ^ " -> " ^ entry)
+        | f :: rest -> walk f rest
+      in
+      walk top rest
+  | _ -> ()
 
 let sample _ =
   match Printexc.backtrace_slots (Printexc.get_callstack depth) with
@@ -28,7 +52,8 @@ let sample _ =
       if frames <> [] then begin
         incr samples;
         bump self (List.hd frames);
-        List.iter (bump incl) (List.sort_uniq String.compare frames)
+        List.iter (bump incl) (List.sort_uniq String.compare frames);
+        charge frames
       end
 
 let top title tbl =
@@ -53,4 +78,5 @@ let () =
   timer 0.0;
   Format.printf "%a@." Experiments.Scale.pp_profile row.Experiments.Scale.s_profile;
   top "self" self;
-  top "inclusive" incl
+  top "inclusive" incl;
+  top "outside the repo, by repo caller -> callee" charged
