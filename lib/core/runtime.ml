@@ -48,8 +48,8 @@ module Itbl = Hashtbl.Make (struct
 end)
 
 (* Add [item] to the group of [key] in a list of groups ascending by key;
-   each group lists its items newest first. Commit-path groupings are a
-   handful of entries, too few to pay for a hash table. *)
+   each group lists its items newest first. Commit and fetch groupings are
+   a handful of entries, too few to pay for a hash table. *)
 let rec add_to_group (key : int) item = function
   | (k, items) :: rest when k = key -> (k, item :: items) :: rest
   | ((k, _) as group) :: rest when k < key -> group :: add_to_group key item rest
@@ -2124,22 +2124,20 @@ let arm_crash_machinery t =
 (* ------------------------------------------------------------------ *)
 (* Page movement (Algorithm 4.5 and demand fetches).                   *)
 
-(* Group pages by the node holding their newest copy, per the grant. *)
+(* Group pages by the node holding their newest copy, per the grant:
+   groups ascending by source, each group's pages in input order. The
+   parallel fetches are sent in list order, so group order must not depend
+   on hashing. *)
 let group_by_source ~node ~oid (grant : Gdo.Directory.grant) pages =
-  let by_src = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
+  List.fold_left
+    (fun groups p ->
       let src = grant.Gdo.Directory.g_page_nodes.(p) in
       if src = node then
         invalid_arg
           (Format.asprintf "Runtime: page %d of %a maps to the fetching node" p Oid.pp oid);
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_src src) in
-      Hashtbl.replace by_src src (p :: cur))
-    pages;
-  (* Ascending-source order, not hash order: the parallel fetches are sent
-     in list order, so group order must be hash-seed independent. *)
-  Hashtbl.fold (fun src ps acc -> (src, List.rev ps) :: acc) by_src []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      add_to_group src p groups)
+    [] pages
+  |> List.map (fun (src, ps) -> (src, List.rev ps))
 
 (* Fetch the given pages from their source nodes, in parallel, and install
    them locally. Blocks until every group has arrived — or, under crash

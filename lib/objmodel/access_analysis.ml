@@ -1,11 +1,3 @@
-module IS = Set.Make (Int)
-
-module SlotMeth = Set.Make (struct
-  type t = int * string
-
-  let compare = compare
-end)
-
 type summary = {
   read_attrs : Attribute.id list;
   write_attrs : Attribute.id list;
@@ -13,31 +5,42 @@ type summary = {
   updates : bool;
 }
 
-type acc = { reads : IS.t; writes : IS.t; invoked : SlotMeth.t }
+(* One pass collects every access, duplicates included; each list is then
+   sorted and deduplicated. *)
+type acc = {
+  mutable reads : Attribute.id list;
+  mutable writes : Attribute.id list;
+  mutable invoked : (Method_ir.slot * string) list;
+}
 
-let empty_acc = { reads = IS.empty; writes = IS.empty; invoked = SlotMeth.empty }
-
-let rec analyse_block acc body = List.fold_left analyse_stmt acc body
+let rec analyse_block acc body = List.iter (analyse_stmt acc) body
 
 and analyse_stmt acc = function
-  | Method_ir.Read a -> { acc with reads = IS.add a acc.reads }
-  | Method_ir.Write a -> { acc with reads = IS.add a acc.reads; writes = IS.add a acc.writes }
-  | Method_ir.Invoke { slot; meth } ->
-      { acc with invoked = SlotMeth.add (slot, meth) acc.invoked }
+  | Method_ir.Read a -> acc.reads <- a :: acc.reads
+  | Method_ir.Write a ->
+      acc.reads <- a :: acc.reads;
+      acc.writes <- a :: acc.writes
+  | Method_ir.Invoke { slot; meth } -> acc.invoked <- (slot, meth) :: acc.invoked
   | Method_ir.If { then_; else_; _ } ->
       (* Either side may execute: union both. *)
-      analyse_block (analyse_block acc then_) else_
+      analyse_block acc then_;
+      analyse_block acc else_
   | Method_ir.Loop { body; _ } ->
       (* Accesses are idempotent for set purposes: one pass suffices. *)
       analyse_block acc body
 
+let compare_call (s1, m1) (s2, m2) =
+  let c = Int.compare s1 s2 in
+  if c <> 0 then c else String.compare m1 m2
+
 let analyse (m : Method_ir.t) =
-  let acc = analyse_block empty_acc m.body in
+  let acc = { reads = []; writes = []; invoked = [] } in
+  analyse_block acc m.body;
   {
-    read_attrs = IS.elements acc.reads;
-    write_attrs = IS.elements acc.writes;
-    invoked = SlotMeth.elements acc.invoked;
-    updates = not (IS.is_empty acc.writes);
+    read_attrs = List.sort_uniq Int.compare acc.reads;
+    write_attrs = List.sort_uniq Int.compare acc.writes;
+    invoked = List.sort_uniq compare_call acc.invoked;
+    updates = (match acc.writes with [] -> false | _ :: _ -> true);
   }
 
 type page_summary = { access_pages : int list; write_pages : int list }

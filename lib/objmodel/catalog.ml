@@ -1,12 +1,19 @@
 type instance = { oid : Oid.t; cls : Obj_class.t; refs : Oid.t array }
 
-type t = { table : instance Oid.Table.t }
+(* Instances indexed by [Oid.to_int], sized to the largest id; a sparse
+   catalog leaves empty slots. *)
+type t = { slots : instance option array; size : int }
 
 let create instances =
-  let table = Oid.Table.create (List.length instances * 2) in
+  let top = List.fold_left (fun acc inst -> max acc (Oid.to_int inst.oid)) (-1) instances in
+  let slots = Array.make (top + 1) None in
+  let mem oid =
+    let i = Oid.to_int oid in
+    i < Array.length slots && Option.is_some slots.(i)
+  in
   List.iter
     (fun inst ->
-      if Oid.Table.mem table inst.oid then
+      if mem inst.oid then
         invalid_arg (Format.asprintf "Catalog.create: duplicate %a" Oid.pp inst.oid);
       (* Force layout computation so uncompiled classes fail here. *)
       ignore (Obj_class.layout inst.cls);
@@ -16,27 +23,35 @@ let create instances =
              inst.oid (Array.length inst.refs)
              (Obj_class.name inst.cls)
              (Obj_class.ref_slots inst.cls));
-      Oid.Table.add table inst.oid inst)
+      slots.(Oid.to_int inst.oid) <- Some inst)
     instances;
   List.iter
     (fun inst ->
       Array.iter
         (fun target ->
-          if not (Oid.Table.mem table target) then
+          if not (mem target) then
             invalid_arg
               (Format.asprintf "Catalog.create: %a references unknown %a" Oid.pp inst.oid Oid.pp
                  target))
         inst.refs)
     instances;
-  { table }
+  { slots; size = List.length instances }
 
 let find t oid =
-  match Oid.Table.find_opt t.table oid with Some i -> i | None -> raise Not_found
+  let i = Oid.to_int oid in
+  if i >= Array.length t.slots then raise Not_found
+  else match Array.unsafe_get t.slots i with Some inst -> inst | None -> raise Not_found
 
-let size t = Oid.Table.length t.table
+let size t = t.size
 
-let oids t =
-  Oid.Table.fold (fun oid _ acc -> oid :: acc) t.table [] |> List.sort Oid.compare
+let fold f t init =
+  let acc = ref init in
+  for i = Array.length t.slots - 1 downto 0 do
+    match t.slots.(i) with Some inst -> acc := f inst !acc | None -> ()
+  done;
+  !acc
+
+let oids t = fold (fun inst acc -> inst.oid :: acc) t []
 
 let page_count t oid = Obj_class.page_count (find t oid).cls
 let layout t oid = Obj_class.layout (find t oid).cls
@@ -48,19 +63,18 @@ let resolve_slot t oid slot =
     invalid_arg (Format.asprintf "Catalog.resolve_slot: %a slot %d out of range" Oid.pp oid slot);
   inst.refs.(slot)
 
-(* Iterative three-colour DFS over the reference graph. *)
+(* Three-colour DFS over the reference graph, colours indexed by id. *)
 let validate_acyclic t =
-  let module M = Oid.Map in
-  let colour = ref M.empty in
-  (* 0 unvisited (absent), 1 in progress, 2 done *)
+  let colour = Bytes.make (Array.length t.slots) '\000' in
+  (* 0 unvisited, 1 in progress, 2 done *)
   let cycle = ref None in
   let rec visit path oid =
     match !cycle with
     | Some _ -> ()
     | None -> (
-        match M.find_opt oid !colour with
-        | Some 2 -> ()
-        | Some 1 ->
+        match Bytes.get colour (Oid.to_int oid) with
+        | '\002' -> ()
+        | '\001' ->
             (* Found a back edge: extract the cycle from the path. *)
             let rec take acc = function
               | [] -> acc
@@ -68,10 +82,10 @@ let validate_acyclic t =
             in
             cycle := Some (take [] path)
         | _ ->
-            colour := M.add oid 1 !colour;
+            Bytes.set colour (Oid.to_int oid) '\001';
             let inst = find t oid in
             Array.iter (fun target -> visit (oid :: path) target) inst.refs;
-            colour := M.add oid 2 !colour)
+            Bytes.set colour (Oid.to_int oid) '\002')
   in
   List.iter (fun oid -> visit [] oid) (oids t);
   match !cycle with None -> Ok () | Some c -> Error c
@@ -80,20 +94,18 @@ let max_invocation_depth t =
   (match validate_acyclic t with
   | Ok () -> ()
   | Error _ -> invalid_arg "Catalog.max_invocation_depth: catalog is cyclic");
-  let module M = Oid.Map in
-  let memo = ref M.empty in
+  let memo = Array.make (Array.length t.slots) 0 in
+  (* 0 = not yet computed; a depth is at least 1 *)
   let rec depth oid =
-    match M.find_opt oid !memo with
-    | Some d -> d
-    | None ->
-        let inst = find t oid in
-        let d =
-          Array.fold_left (fun acc target -> max acc (1 + depth target)) 1 inst.refs
-        in
-        memo := M.add oid d !memo;
-        d
+    let i = Oid.to_int oid in
+    if memo.(i) > 0 then memo.(i)
+    else begin
+      let inst = find t oid in
+      let d = Array.fold_left (fun acc target -> max acc (1 + depth target)) 1 inst.refs in
+      memo.(i) <- d;
+      d
+    end
   in
   List.fold_left (fun acc oid -> max acc (depth oid)) 0 (oids t)
 
-let total_pages t =
-  Oid.Table.fold (fun _ inst acc -> acc + Obj_class.page_count inst.cls) t.table 0
+let total_pages t = fold (fun inst acc -> acc + Obj_class.page_count inst.cls) t 0

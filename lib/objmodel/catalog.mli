@@ -15,13 +15,17 @@ type instance = {
 type t
 
 val create : instance list -> t
-(** @raise Invalid_argument on duplicate oids, wrong [refs] length, a
+(** Instances are indexed by oid in an array sized to the largest oid, so
+    {!find} is one bounds check and one load; ids need not be dense.
+    @raise Invalid_argument on duplicate oids, wrong [refs] length, a
     reference to an unknown object, or an uncompiled class. *)
 
 val find : t -> Oid.t -> instance
 (** @raise Not_found *)
 
 val size : t -> int
+(** Number of instances. *)
+
 val oids : t -> Oid.t list
 (** Ascending. *)
 

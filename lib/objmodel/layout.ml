@@ -5,6 +5,9 @@ type t = {
   total_bytes : int;
 }
 
+(* [first .. p] consed onto [acc]. *)
+let rec page_span first p acc = if p < first then acc else page_span first (p - 1) (p :: acc)
+
 let create ~page_size attrs =
   if page_size <= 0 then invalid_arg "Layout.create: page_size must be positive";
   let n = Array.length attrs in
@@ -15,7 +18,7 @@ let create ~page_size attrs =
     let size = attrs.(i).Attribute.size_bytes in
     let first = !cursor / page_size and last = (!cursor + size - 1) / page_size in
     offsets.(i) <- !cursor;
-    attr_pages.(i) <- List.init (last - first + 1) (fun k -> first + k);
+    attr_pages.(i) <- page_span first last [];
     cursor := !cursor + size
   done;
   { page_size; offsets; attr_pages; total_bytes = !cursor }
@@ -38,13 +41,18 @@ let pages_of_attr t a =
   check_attr t a;
   t.attr_pages.(a)
 
+(* Mark the pages each attribute touches, then collect them ascending. *)
 let pages_of_attrs t attrs =
-  let module IS = Set.Make (Int) in
-  let set =
-    List.fold_left (fun acc a -> List.fold_left (fun s p -> IS.add p s) acc (pages_of_attr t a))
-      IS.empty attrs
+  let n = page_count t in
+  let marks = Bytes.make n '\000' in
+  List.iter
+    (fun a -> List.iter (fun p -> Bytes.unsafe_set marks p '\001') (pages_of_attr t a))
+    attrs;
+  let rec collect p acc =
+    if p < 0 then acc
+    else collect (p - 1) (if Bytes.unsafe_get marks p = '\001' then p :: acc else acc)
   in
-  IS.elements set
+  collect (n - 1) []
 
 let attr_count t = Array.length t.offsets
 

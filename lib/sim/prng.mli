@@ -45,7 +45,11 @@ val shuffle : t -> 'a array -> unit
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct integers from
-    [0, n). Requires [k <= n]. Result is in random order. *)
+    [0, n). Requires [k <= n]. Result is in random order: the first [k]
+    entries of {!shuffle} on [0, n), with the same [n - 1] draws. Costs
+    O(k × n) time and O(k) space: meant for [k] of at most a few dozen
+    (reference slots per object). For a larger sample, {!shuffle} an
+    array of [0, n), which is O(n). *)
 
 val exponential : t -> mean:float -> float
 (** Exponential variate with the given mean (inter-arrival times). *)

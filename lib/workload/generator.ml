@@ -4,13 +4,15 @@ type root_spec = { at : float; node : int; oid : Oid.t; meth : string; seed : in
 
 type t = { spec : Spec.t; catalog : Catalog.t; roots : root_spec list }
 
-let method_name i = Printf.sprintf "m%d" i
+let method_name i = "m" ^ string_of_int i
+
+let attrs_per_page (spec : Spec.t) ~page_size = max 1 (page_size / spec.attr_size_bytes)
 
 (* Statements of one generated method body: a subset of the object's
    attributes is accessed (some behind data-dependent branches, so the
    conservative prediction over-approximates the actual footprint), and some
    reference slots are invoked through (sub-transactions). *)
-let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
+let gen_method rng (spec : Spec.t) ~method_names ~attr_count ~slot_count ~name ~read_only =
   let accessed =
     (* A contiguous window of the layout (related fields live together),
        thinned by the access density, plus an occasional scattered access
@@ -50,7 +52,7 @@ let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
         if Sim.Prng.bernoulli rng spec.invoke_probability then
           Some
             (Method_ir.Invoke
-               { slot; meth = method_name (Sim.Prng.int rng spec.methods_per_class) })
+               { slot; meth = method_names.(Sim.Prng.int rng spec.methods_per_class) })
         else None)
       (List.init slot_count (fun s -> s))
   in
@@ -58,14 +60,12 @@ let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
   Sim.Prng.shuffle rng stmts;
   Method_ir.make ~name ~body:(Array.to_list stmts)
 
-let gen_class rng (spec : Spec.t) ~page_size ~index ~slot_count =
+(* [attr_pool] holds the attributes of the largest class the spec allows;
+   a class takes a prefix of it. *)
+let gen_class rng (spec : Spec.t) ~page_size ~method_names ~attr_pool ~index ~slot_count =
   let pages = Sim.Prng.int_in rng spec.min_pages spec.max_pages in
-  let attrs_per_page = max 1 (page_size / spec.attr_size_bytes) in
-  let attr_count = pages * attrs_per_page in
-  let attrs =
-    Array.init attr_count (fun a ->
-        Attribute.make ~name:(Printf.sprintf "a%d" a) ~size_bytes:spec.attr_size_bytes)
-  in
+  let attr_count = pages * attrs_per_page spec ~page_size in
+  let attrs = Array.sub attr_pool 0 attr_count in
   let methods =
     List.init spec.methods_per_class (fun m ->
         (* Method m0 always updates, so every class has a writer; others may
@@ -81,15 +81,16 @@ let gen_class rng (spec : Spec.t) ~page_size ~index ~slot_count =
           let commutativity =
             if m land 1 = 1 then Method_ir.Increment else Method_ir.Decrement
           in
-          Method_ir.make_commuting ~name:(method_name m) ~commutativity
+          Method_ir.make_commuting ~name:method_names.(m) ~commutativity
             ~body:[ Method_ir.Write 0 ]
         else
           let read_only = m > 0 && Sim.Prng.bernoulli rng spec.read_only_method_fraction in
-          gen_method rng spec ~attr_count ~slot_count ~name:(method_name m) ~read_only)
+          gen_method rng spec ~method_names ~attr_count ~slot_count ~name:method_names.(m)
+            ~read_only)
   in
   Obj_class.compile ~page_size
     (Obj_class.define
-       ~name:(Printf.sprintf "C%d" index)
+       ~name:("C" ^ string_of_int index)
        ~attrs ~methods ~ref_slots:slot_count)
 
 let generate spec ~page_size =
@@ -112,11 +113,21 @@ let generate spec ~page_size =
           Array.of_list (List.map (fun d -> Oid.of_int (i + 1 + d)) picks)
         end)
   in
+  (* Names and attributes are immutable: one copy serves every class and
+     root. *)
+  let method_names = Array.init spec.Spec.methods_per_class method_name in
+  let attr_pool =
+    Array.init
+      (spec.Spec.max_pages * attrs_per_page spec ~page_size)
+      (fun a ->
+        Attribute.make ~name:("a" ^ string_of_int a) ~size_bytes:spec.Spec.attr_size_bytes)
+  in
   let instances =
     List.init n (fun i ->
         let refs = slots_of.(i) in
         let cls =
-          gen_class rng_methods spec ~page_size ~index:i ~slot_count:(Array.length refs)
+          gen_class rng_methods spec ~page_size ~method_names ~attr_pool ~index:i
+            ~slot_count:(Array.length refs)
         in
         { Catalog.oid = Oid.of_int i; cls; refs })
   in
@@ -203,7 +214,7 @@ let generate spec ~page_size =
             at = !clock;
             node = r mod spec.Spec.node_count;
             oid = Oid.of_int (pick_target ());
-            meth = method_name (pick_method ());
+            meth = method_names.(pick_method ());
             seed = (spec.Spec.seed * 1_000_003) + (r * 7919) + 17;
           }
         in

@@ -231,6 +231,117 @@ let qcheck_prediction_conservative =
       List.for_all (fun a -> List.mem a s.Access_analysis.read_attrs) !actual_reads
       && List.for_all (fun a -> List.mem a s.Access_analysis.write_attrs) !actual_writes)
 
+(* The [Set.Make] analysis and page union the compiler used before they
+   became sort-and-dedup and mark passes, kept as references: the summaries and
+   page predictions feed every lock and transfer decision, so the new
+   passes must return exactly these lists. *)
+module Reference = struct
+  module IS = Set.Make (Int)
+
+  module SlotMeth = Set.Make (struct
+    type t = int * string
+
+    let compare = compare
+  end)
+
+  let rec walk ((reads, writes, invoked) as acc) = function
+    | Method_ir.Read a -> (IS.add a reads, writes, invoked)
+    | Method_ir.Write a -> (IS.add a reads, IS.add a writes, invoked)
+    | Method_ir.Invoke { slot; meth } -> (reads, writes, SlotMeth.add (slot, meth) invoked)
+    | Method_ir.If { then_; else_; _ } ->
+        List.fold_left walk (List.fold_left walk acc then_) else_
+    | Method_ir.Loop { body; _ } -> List.fold_left walk acc body
+
+  let analyse (m : Method_ir.t) =
+    let reads, writes, invoked =
+      List.fold_left walk (IS.empty, IS.empty, SlotMeth.empty) m.Method_ir.body
+    in
+    {
+      Access_analysis.read_attrs = IS.elements reads;
+      write_attrs = IS.elements writes;
+      invoked = SlotMeth.elements invoked;
+      updates = not (IS.is_empty writes);
+    }
+
+  let pages_of_attrs layout attrs =
+    IS.elements
+      (List.fold_left
+         (fun acc a ->
+           List.fold_left (fun s p -> IS.add p s) acc (Layout.pages_of_attr layout a))
+         IS.empty attrs)
+end
+
+(* Method bodies over 40 attributes with nested branches, loops and
+   invocations whose method names order differently as strings and as
+   numbers ("m10" < "m2"). *)
+let gen_ir_body =
+  let open QCheck.Gen in
+  let meth = oneofl [ "m0"; "m1"; "m2"; "m10"; "m11"; "a"; "" ] in
+  sized (fun n ->
+      fix
+        (fun self n ->
+          let leaf =
+            frequency
+              [
+                (3, map (fun a -> Method_ir.Read a) (int_bound 39));
+                (2, map (fun a -> Method_ir.Write a) (int_bound 39));
+                ( 1,
+                  map2 (fun slot meth -> Method_ir.Invoke { slot; meth }) (int_bound 3) meth );
+              ]
+          in
+          if n <= 1 then list_size (int_range 0 6) leaf
+          else
+            list_size (int_range 0 6)
+              (frequency
+                 [
+                   (4, leaf);
+                   ( 1,
+                     map2
+                       (fun t e -> Method_ir.If { prob_then = 0.5; then_ = t; else_ = e })
+                       (self (n / 2)) (self (n / 2)) );
+                   (1, map (fun b -> Method_ir.Loop { count = 2; body = b }) (self (n / 2)));
+                 ]))
+        n)
+
+let qcheck_analysis_matches_reference =
+  let gen =
+    QCheck.Gen.(triple gen_ir_body (int_range 1 512) (list_size (return 40) (int_range 1 700)))
+  in
+  QCheck.Test.make ~name:"analysis and page union match the Set.Make references" ~count:300
+    (QCheck.make ~print:(fun (body, _, _) ->
+         Format.asprintf "%a" Method_ir.pp (Method_ir.make ~name:"m" ~body))
+       gen)
+    (fun (body, page_size, sizes) ->
+      let m = Method_ir.make ~name:"m" ~body in
+      let s = Access_analysis.analyse m in
+      let layout = Layout.create ~page_size (attrs_of_sizes sizes) in
+      let p = Access_analysis.pages layout s in
+      s = Reference.analyse m
+      && p.Access_analysis.access_pages
+         = Reference.pages_of_attrs layout s.Access_analysis.read_attrs
+      && p.Access_analysis.write_pages
+         = Reference.pages_of_attrs layout s.Access_analysis.write_attrs
+      (* Unsorted, duplicated attribute lists too, as callers may pass. *)
+      &&
+      let mixed = List.rev_append s.Access_analysis.read_attrs s.Access_analysis.write_attrs in
+      Layout.pages_of_attrs layout mixed = Reference.pages_of_attrs layout mixed)
+
+(* Ill-formed ids far apart (or negative) still come back ascending and
+   deduplicated, so [Obj_class.define] reports the smallest bad one. *)
+let test_analysis_far_ids () =
+  let m =
+    Method_ir.make ~name:"m"
+      ~body:Method_ir.[ Read 1_000_000; Read (-3); Write 5; Read 5; Read 1_000_000 ]
+  in
+  let s = Access_analysis.analyse m in
+  Alcotest.(check (list int)) "reads" [ -3; 5; 1_000_000 ] s.Access_analysis.read_attrs;
+  Alcotest.(check (list int)) "writes" [ 5 ] s.Access_analysis.write_attrs;
+  Alcotest.check_raises "define names the smallest"
+    (Invalid_argument "Obj_class.define: method m references attribute -3 out of range")
+    (fun () ->
+      ignore
+        (Obj_class.define ~name:"K" ~attrs:(attrs_of_sizes [ 10 ]) ~methods:[ m ] ~ref_slots:0))
+
 (* ---------- Obj_class ---------- *)
 
 let simple_class () =
@@ -372,6 +483,34 @@ let test_catalog_validation () =
   Alcotest.check_raises "duplicate oid" (Invalid_argument "Catalog.create: duplicate O0")
     (fun () -> ignore (Catalog.create [ dup; dup ]))
 
+(* Ids need not be dense: the instance array keeps empty slots, which
+   [find], [size], [oids] and [total_pages] skip. *)
+let test_catalog_sparse_ids () =
+  let cat =
+    Catalog.create
+      [
+        { Catalog.oid = oid 5; cls = compiled_leaf "L5"; refs = [||] };
+        { Catalog.oid = oid 2; cls = compiled_parent "P"; refs = [| oid 5 |] };
+      ]
+  in
+  Alcotest.(check int) "size counts instances" 2 (Catalog.size cat);
+  Alcotest.(check (list int))
+    "oids ascending" [ 2; 5 ]
+    (List.map Oid.to_int (Catalog.oids cat));
+  Alcotest.(check string) "find" "L5" (Obj_class.name (Catalog.find cat (oid 5)).Catalog.cls);
+  Alcotest.check_raises "empty slot" Not_found (fun () -> ignore (Catalog.find cat (oid 3)));
+  Alcotest.check_raises "past the end" Not_found (fun () -> ignore (Catalog.find cat (oid 6)));
+  Alcotest.(check int) "total pages" 2 (Catalog.total_pages cat);
+  Alcotest.(check int) "depth" 2 (Catalog.max_invocation_depth cat);
+  Alcotest.check_raises "reference into an empty slot"
+    (Invalid_argument "Catalog.create: O2 references unknown O4") (fun () ->
+      ignore
+        (Catalog.create
+           [
+             { Catalog.oid = oid 5; cls = compiled_leaf "L5"; refs = [||] };
+             { Catalog.oid = oid 2; cls = compiled_parent "P"; refs = [| oid 4 |] };
+           ]))
+
 let test_catalog_find_missing () =
   let cat = Catalog.create [ { Catalog.oid = oid 0; cls = compiled_leaf "L"; refs = [||] } ] in
   Alcotest.check_raises "missing" Not_found (fun () -> ignore (Catalog.find cat (oid 5)))
@@ -398,6 +537,8 @@ let tests =
         Alcotest.test_case "analysis read-only" `Quick test_analysis_read_only;
         Alcotest.test_case "analysis pages" `Quick test_analysis_pages;
         QCheck_alcotest.to_alcotest qcheck_prediction_conservative;
+        QCheck_alcotest.to_alcotest qcheck_analysis_matches_reference;
+        Alcotest.test_case "analysis far ids" `Quick test_analysis_far_ids;
         Alcotest.test_case "class compile" `Quick test_class_compile;
         Alcotest.test_case "class uncompiled" `Quick test_class_uncompiled;
         Alcotest.test_case "class duplicate method" `Quick test_class_duplicate_method;
@@ -409,5 +550,6 @@ let tests =
         Alcotest.test_case "catalog self loop" `Quick test_catalog_self_loop;
         Alcotest.test_case "catalog validation" `Quick test_catalog_validation;
         Alcotest.test_case "catalog find missing" `Quick test_catalog_find_missing;
+        Alcotest.test_case "catalog sparse ids" `Quick test_catalog_sparse_ids;
       ] );
   ]

@@ -171,6 +171,141 @@ let qcheck_int_bounds =
       let v = Prng.int rng bound in
       v >= 0 && v < bound)
 
+(* The boxed-state splitmix64 the generator used before its state moved
+   into an unboxed buffer, kept verbatim as the reference every draw must
+   still match: workload catalogs, root streams and fault schedules all
+   hang on this exact stream. *)
+module Reference = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+  let create ~seed = { state = Int64.of_int seed }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix t.state
+
+  let split t =
+    let s = bits64 t in
+    { state = mix s }
+
+  let copy t = { state = t.state }
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+    let mask = Int64.of_int max_int in
+    let v = Int64.to_int (Int64.logand (bits64 t) mask) in
+    v mod bound
+
+  let int_in t lo hi =
+    if hi < lo then invalid_arg "Prng.int_in: empty range";
+    lo + int t (hi - lo + 1)
+
+  let float t bound =
+    let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    bound *. (v /. 9007199254740992.0)
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+  let bernoulli t p = float t 1.0 < p
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+
+  let sample_without_replacement t k n =
+    if k > n then invalid_arg "Prng.sample_without_replacement: k > n";
+    let arr = Array.init n (fun i -> i) in
+    shuffle t arr;
+    Array.to_list (Array.sub arr 0 k)
+
+  let exponential t ~mean =
+    let u = 1.0 -. float t 1.0 in
+    -.mean *. log u
+
+  let geometric t ~p =
+    let p = if Float.is_nan p then 1.0 else Float.min 1.0 (Float.max 1e-12 p) in
+    let u = 1.0 -. float t 1.0 in
+    if p >= 1.0 then 0
+    else
+      let x = Float.floor (log u /. log (1.0 -. p)) in
+      if Float.is_nan x || x < 0.0 then 0
+      else if x >= float_of_int max_int then max_int
+      else int_of_float x
+end
+
+(* One draw of every kind on both generators; [true] iff they agree. The
+   float results are compared bit for bit. *)
+let same_draw op bound (a : Prng.t) (r : Reference.t) =
+  let feq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match op with
+  | 0 -> Int64.equal (Prng.bits64 a) (Reference.bits64 r)
+  | 1 -> Prng.int a bound = Reference.int r bound
+  | 2 -> Prng.int_in a (-bound) bound = Reference.int_in r (-bound) bound
+  | 3 -> feq (Prng.float a (float_of_int bound)) (Reference.float r (float_of_int bound))
+  | 4 -> Prng.bool a = Reference.bool r
+  | 5 ->
+      let p = float_of_int bound /. 1000.0 in
+      Prng.bernoulli a p = Reference.bernoulli r p
+  | 6 ->
+      let x = Array.init bound Fun.id and y = Array.init bound Fun.id in
+      Prng.shuffle a x;
+      Reference.shuffle r y;
+      x = y
+  | 7 ->
+      let k = bound mod 5 in
+      Prng.sample_without_replacement a k bound = Reference.sample_without_replacement r k bound
+  | 8 ->
+      let n = bound mod 24 in
+      Prng.sample_without_replacement a n n = Reference.sample_without_replacement r n n
+  | 9 ->
+      let mean = float_of_int bound in
+      feq (Prng.exponential a ~mean) (Reference.exponential r ~mean)
+  | 10 ->
+      let p = float_of_int bound /. 1000.0 in
+      Prng.geometric a ~p = Reference.geometric r ~p
+  | _ ->
+      Prng.sample_without_replacement a 0 bound = Reference.sample_without_replacement r 0 bound
+
+let same_stream (a : Prng.t) (r : Reference.t) =
+  List.for_all (fun _ -> Int64.equal (Prng.bits64 a) (Reference.bits64 r)) (List.init 8 Fun.id)
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"every draw matches the boxed reference generator" ~count:300
+    QCheck.(pair int (small_list (pair (int_range 0 11) (int_range 1 300))))
+    (fun (seed, ops) ->
+      let a = Prng.create ~seed and r = Reference.create ~seed in
+      List.for_all (fun (op, bound) -> same_draw op bound a r) ops
+      && (* Split and copy hand out the same streams, and the parents
+            continue identically afterwards. *)
+      same_stream (Prng.split a) (Reference.split r)
+      && same_stream (Prng.copy a) (Reference.copy r)
+      && same_stream a r)
+
+(* The draws the simulator makes per root, per branch and per message must
+   not allocate: 10,000 of them may cost at most a few words in total
+   (the [Gc.minor_words] readings themselves). *)
+let test_draws_allocate_nothing () =
+  let rng = Prng.create ~seed:3 in
+  let sum = ref 0 and hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Prng.int rng 1000;
+    if Prng.bernoulli rng 0.5 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool_c (Printf.sprintf "%.0f words for 10,000 int + bernoulli draws" words) true
+    (words <= 16.0);
+  check bool_c "draws happened" true (!sum > 0 && !hits > 0)
+
 let tests =
   [
     ( "prng",
@@ -195,5 +330,7 @@ let tests =
           test_geometric_consumes_one_draw;
         QCheck_alcotest.to_alcotest qcheck_int_bounds;
         QCheck_alcotest.to_alcotest qcheck_geometric_total;
+        QCheck_alcotest.to_alcotest qcheck_matches_reference;
+        Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
       ] );
   ]

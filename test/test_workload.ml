@@ -5,6 +5,91 @@ open Objmodel
 let small_spec =
   { Workload.Spec.default with Workload.Spec.object_count = 10; root_count = 25; seed = 5 }
 
+(* Generator golden: an MD5 over everything [generate] decides for the four
+   benchmark presets — each class's attributes and layout, each method's
+   IR, access summary, page summary and cost, each instance's references,
+   and every root field (arrival times in hex, so exactly). The constants
+   were recorded from the boxed-state generator; a change to the draw
+   order, the analysis or the layout shows up here before it shows up in
+   any simulated metric. *)
+let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+
+let dump_workload (wl : Workload.Generator.t) =
+  let buf = Buffer.create (1 lsl 20) in
+  let cat = wl.Workload.Generator.catalog in
+  List.iter
+    (fun oid ->
+      let inst = Catalog.find cat oid in
+      let cls = inst.Catalog.cls in
+      let layout = Obj_class.layout cls in
+      Printf.bprintf buf "%d %s slots=%d refs=%s\n%s\n" (Oid.to_int oid) (Obj_class.name cls)
+        (Obj_class.ref_slots cls)
+        (ints (Array.to_list (Array.map Oid.to_int inst.Catalog.refs)))
+        (Format.asprintf "%a" Layout.pp layout);
+      Array.iteri
+        (fun i (a : Attribute.t) ->
+          Printf.bprintf buf " %s:%d off=%d pages=%s\n" a.Attribute.name a.Attribute.size_bytes
+            (Layout.offset layout i)
+            (ints (Layout.pages_of_attr layout i)))
+        (Obj_class.attrs cls);
+      List.iter
+        (fun (m : Obj_class.compiled_method) ->
+          let s = m.Obj_class.summary and p = m.Obj_class.page_summary in
+          Printf.bprintf buf " %s\n  %s invoked=%s\n  access=%s write=%s cpu=%d\n"
+            (Format.asprintf "%a" Method_ir.pp m.Obj_class.ir)
+            (Format.asprintf "%a" Access_analysis.pp_summary s)
+            (String.concat ";"
+               (List.map
+                  (fun (slot, meth) -> string_of_int slot ^ "." ^ meth)
+                  s.Access_analysis.invoked))
+            (ints p.Access_analysis.access_pages)
+            (ints p.Access_analysis.write_pages)
+            m.Obj_class.cpu_statements)
+        (Obj_class.methods cls))
+    (Catalog.oids cat);
+  List.iter
+    (fun (r : Workload.Generator.root_spec) ->
+      Printf.bprintf buf "root %h %d %d %s %d\n" r.at r.node (Oid.to_int r.oid) r.meth r.seed)
+    wl.Workload.Generator.roots;
+  Buffer.contents buf
+
+(* The perfbench presets at their own seeds, 2,000 roots each. *)
+let bench_presets =
+  let roots = 2_000 in
+  [
+    ( "stream-64",
+      Experiments.Scale.spec_for ~roots ~nodes:64,
+      "ba9795f8ff5f53875e8b644e5610412a" );
+    ( "web-read",
+      {
+        Workload.Scenarios.web_catalog with
+        Workload.Spec.root_count = roots;
+        root_update_fraction = Some 0.03;
+        arrival_mean_us = 200.0;
+      },
+      "50dce983aaea864bf36dcf88d6252573" );
+    ( "bank-escrow",
+      { Workload.Scenarios.bank with Workload.Spec.root_count = roots; arrival_mean_us = 200.0 },
+      "ebe53e185af1a314007642e92ca1d98f" );
+    ( "lossy-levers",
+      {
+        (Experiments.Function_shipping.default_spec ~skew:1.5) with
+        Workload.Spec.root_count = roots;
+        arrival_mean_us = 8_000.0;
+        invoke_probability = 0.4;
+      },
+      "295de68d473a5150295b72616114d28d" );
+  ]
+
+let test_generator_golden () =
+  List.iter
+    (fun (name, spec, expected) ->
+      let page_size = Core.Config.default.Core.Config.page_size in
+      let wl = Workload.Generator.generate spec ~page_size in
+      Alcotest.(check string) (name ^ " digest") expected
+        (Digest.to_hex (Digest.string (dump_workload wl))))
+    bench_presets
+
 let test_spec_validation () =
   Alcotest.(check bool) "default valid" true (Workload.Spec.validate Workload.Spec.default = Ok ());
   let bad = { Workload.Spec.default with Workload.Spec.object_count = 0 } in
@@ -197,5 +282,6 @@ let tests =
         Alcotest.test_case "access skew" `Quick test_access_skew;
         Alcotest.test_case "skewed workload runs" `Quick test_skewed_workload_runs;
         Alcotest.test_case "invalid spec rejected" `Quick test_invalid_spec_rejected;
+        Alcotest.test_case "generator golden" `Quick test_generator_golden;
       ] );
   ]
