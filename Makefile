@@ -70,12 +70,14 @@ batch:
 scale:
 	dune exec bin/lotec_sim.exe -- scale --engine-bench --json BENCH_engine.json
 
-# Small fixed point for CI: 10k roots over 64 nodes per protocol, with a
-# conservative events/sec floor (measured ~0.6-1.2M on dev hardware; the
-# floor leaves ~10x headroom for slow CI runners) and a heap ceiling.
+# Two fixed points for CI: 10k and 40k roots over 64 nodes per protocol,
+# so streaming state recycling runs at two run lengths. A conservative
+# events/sec floor (measured ~1.5-1.8M on a 2-vCPU dev machine; the floor
+# leaves ~10x headroom for slow CI runners) and a heap ceiling of twice
+# the measured process peak (76.4 MB after the 40k points).
 scale-smoke:
-	dune exec bin/lotec_sim.exe -- scale --roots 10000 --nodes 64 \
-		--assert-min-events-per-sec 100000 --assert-max-heap-mb 512 \
+	dune exec bin/lotec_sim.exe -- scale --roots 10000 --nodes 64 --roots 40000 --nodes 64 \
+		--assert-min-events-per-sec 100000 --assert-max-heap-mb 153 \
 		--json BENCH_engine.json
 
 # Function shipping vs the data-ship baseline: every protocol x locality

@@ -39,6 +39,9 @@ let account_class =
          ]
        ~ref_slots:0)
 
+(* Invocations name their target's method by index. *)
+let account = Obj_class.method_index account_class
+
 (* A branch holds two "featured" account references used by this workload's
    transfers; its own attribute tracks transfer volume. *)
 let branch_class =
@@ -50,23 +53,23 @@ let branch_class =
            Method_ir.make ~name:"transfer"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "withdraw" };
-                 Method_ir.Invoke { slot = 1; meth = "deposit" };
+                 Method_ir.Invoke { slot = 0; meth = account "withdraw" };
+                 Method_ir.Invoke { slot = 1; meth = account "deposit" };
                  Method_ir.Read 0;
                  Method_ir.Write 0;
                ];
            Method_ir.make ~name:"audit"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "statement" };
-                 Method_ir.Invoke { slot = 1; meth = "statement" };
+                 Method_ir.Invoke { slot = 0; meth = account "statement" };
+                 Method_ir.Invoke { slot = 1; meth = account "statement" };
                  Method_ir.Read 0;
                ];
            Method_ir.make ~name:"verify"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "balance" };
-                 Method_ir.Invoke { slot = 1; meth = "balance" };
+                 Method_ir.Invoke { slot = 0; meth = account "balance" };
+                 Method_ir.Invoke { slot = 1; meth = account "balance" };
                  Method_ir.Read 0;
                ];
          ]
@@ -104,8 +107,8 @@ let () =
         let u = Sim.Prng.float rng 1.0 in
         if u < 0.15 then "audit" else if u < 0.45 then "verify" else "transfer"
       in
-      Core.Runtime.submit rt ~at:!clock ~node:(i mod 4) ~oid:(Oid.of_int branch) ~meth
-        ~seed:(3000 + i)
+      Core.Runtime.submit rt ~at:!clock ~node:(i mod 4) ~oid:(Oid.of_int branch)
+        ~meth:(Obj_class.method_index branch_class meth) ~seed:(3000 + i)
     done
   in
   Format.printf "@.%-10s %12s %8s %12s %10s %8s@." "protocol" "bytes" "msgs" "completion"

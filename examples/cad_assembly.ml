@@ -66,7 +66,7 @@ let () =
   Format.printf "Assembly object: %d pages@." (Obj_class.page_count assembly_class);
   List.iter
     (fun name ->
-      let m = Obj_class.find_method assembly_class name in
+      let m = Obj_class.find_method assembly_class (Obj_class.method_index assembly_class name) in
       Format.printf "  %-10s predicted pages: %s@." name
         (String.concat ","
            (List.map string_of_int m.Obj_class.page_summary.Access_analysis.access_pages)))
@@ -86,7 +86,7 @@ let () =
         Sim.Prng.pick rng [| "move_part"; "move_part"; "reroute"; "render"; "annotate" |]
       in
       Core.Runtime.submit rt ~at:!clock ~node:(i mod 6) ~oid:(Oid.of_int (Sim.Prng.int rng 4))
-        ~meth ~seed:(500 + i)
+        ~meth:(Obj_class.method_index assembly_class meth) ~seed:(500 + i)
     done
   in
   Format.printf "@.%-8s %12s %10s %14s@." "protocol" "data bytes" "msgs" "demand fetches";

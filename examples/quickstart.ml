@@ -33,7 +33,7 @@ let () =
      which is exactly what LOTEC will transfer. *)
   let counter_class = Obj_class.compile ~page_size:4096 counter_class in
   Format.printf "Counter spans %d pages@." (Obj_class.page_count counter_class);
-  let incr_method = Obj_class.find_method counter_class "increment" in
+  let incr_method = Obj_class.find_method counter_class (Obj_class.method_index counter_class "increment") in
   Format.printf "increment predicted pages: %s@."
     (String.concat ","
        (List.map string_of_int
@@ -52,7 +52,7 @@ let () =
   for i = 0 to 19 do
     let meth = if i mod 5 = 4 then "archive" else "increment" in
     Core.Runtime.submit rt ~at:(float_of_int (i * 40)) ~node:(i mod 4) ~oid:(Oid.of_int 0)
-      ~meth ~seed:(1000 + i)
+      ~meth:(Obj_class.method_index counter_class meth) ~seed:(1000 + i)
   done;
   Core.Runtime.run rt;
 

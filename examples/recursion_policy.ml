@@ -26,10 +26,10 @@ let ping_pong_catalog () =
          ~methods:
            [
              Method_ir.make ~name:"bounce"
-               ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = "bounce" } ];
+               ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = 0 (* bounce *) } ];
              Method_ir.make ~name:"poke" ~body:[ Method_ir.Write 0 ];
              Method_ir.make ~name:"relay"
-               ~body:[ Method_ir.Read 0; Method_ir.Invoke { slot = 0; meth = "poke" } ];
+               ~body:[ Method_ir.Read 0; Method_ir.Invoke { slot = 0; meth = 1 (* poke *) } ];
            ]
          ~ref_slots:1)
   in
@@ -62,9 +62,9 @@ let () =
   in
   let rt = Core.Runtime.create ~config ~catalog in
   (* relay only goes one hop: legal despite the cyclic catalog. *)
-  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(Oid.of_int 0) ~meth:"relay" ~seed:1;
+  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(Oid.of_int 0) ~meth:2 (* relay *) ~seed:1;
   (* bounce recurses Ping -> Pong -> Ping: rejected at run time. *)
-  Core.Runtime.submit rt ~at:1_000.0 ~node:1 ~oid:(Oid.of_int 0) ~meth:"bounce" ~seed:2;
+  Core.Runtime.submit rt ~at:1_000.0 ~node:1 ~oid:(Oid.of_int 0) ~meth:0 (* bounce *) ~seed:2;
   Core.Runtime.run rt;
   List.iter
     (fun (r : Core.Runtime.root_result) ->

@@ -25,7 +25,7 @@ type root_outcome = Committed | Gave_up
 
 type root_result = {
   oid : Oid.t;
-  meth : string;
+  meth : string;  (* the method's name, for printing *)
   node : int;
   submitted_at : float;
   completed_at : float;
@@ -107,21 +107,6 @@ type ship_wait = {
   sw_site : int;
 }
 
-(* Per-family function-shipping state. [pins] fixes each invoked object's
-   execution site at the family's first dispatch on it, so every later
-   invocation in the family runs at the same site (one site per (family,
-   object) keeps the local lock inheritance chain well-formed).
-   [exec_sites] lists every node the family has executed at — the root's
-   node plus each site a Ship_invoke was delivered to — with the node's
-   incarnation at registration: commit/abort/purge iterate it for lock
-   release, crash entry dooms the family when a member crashes, and the
-   purge paths restore parked undo state only at sites whose incarnation
-   is unchanged (a crashed site's wipe already discarded the writes). *)
-type ship_state = {
-  pins : int Oid.Table.t;
-  mutable exec_sites : (int * int) list;
-}
-
 (* Node-side escrow ledger for one (node, object): the delegated quota
    still undrawn ([el_q_*]; family holds are subtracted at draw time), the
    net locally-committed delta not yet reconciled home ([el_pending]), the
@@ -139,13 +124,38 @@ type escrow_ledger = {
   mutable el_epoch : int;
 }
 
-(* Per-family escrow bookkeeping, resolved at root end. [fe_home] lists
-   objects with a home reservation (one Escrow_commit resolution message
-   each); [fe_local] the units drawn from the root node's delegated quota
-   as [(oid, up units, down units, net delta)] rows — folded into the
-   ledger at commit, returned to it at abort. A quota recall moves a
-   row from [fe_local] to [fe_home] (the carried re-book). *)
-type fam_escrow = {
+(* One family's state, shared by every transaction of the family: created
+   with the root's state, gone with it. A family touches a handful of
+   objects, so each per-object part is a short list scanned by id. *)
+type family = {
+  f_id : Txn_id.t;  (* the root *)
+  (* Grant snapshots: the page map the family received for each object it
+     holds; consulted for staleness checks and demand fetches. *)
+  mutable grants : (Oid.t * Gdo.Directory.grant) list;
+  (* Objects whose read lock is lease-backed (invisible to the directory),
+     each with the nodes whose lease caches back it (the family's node;
+     with function shipping, possibly several execution sites): released
+     locally at those nodes, validated at commit and at upgrade. *)
+  mutable leased : (Oid.t * int list) list;
+  (* Function shipping. [pins] fixes each invoked object's execution site
+     at the family's first dispatch on it, so every later invocation in the
+     family runs at the same site (one site per (family, object) keeps the
+     local lock inheritance chain well-formed). [exec_sites] lists every
+     node the family has executed at — the root's node plus each site a
+     Ship_invoke was delivered to — with the node's incarnation at
+     registration: commit/abort/purge iterate it for lock release, crash
+     entry dooms the family when a member crashes, and the purge paths
+     restore parked undo state only at sites whose incarnation is unchanged
+     (a crashed site's wipe already discarded the writes). Empty until the
+     family's first dispatch decision. *)
+  mutable pins : (Oid.t * int) list;
+  mutable exec_sites : (int * int) list;
+  (* Escrow, resolved at root end. [fe_home] lists objects with a home
+     reservation (one Escrow_commit resolution message each); [fe_local]
+     the units drawn from the root node's delegated quota as [(oid, up
+     units, down units, net delta)] rows — folded into the ledger at
+     commit, returned to it at abort. A quota recall moves a row from
+     [fe_local] to [fe_home] (the carried re-book). *)
   mutable fe_home : Oid.t list;
   mutable fe_local : (Oid.t * int * int * int) list;
 }
@@ -156,8 +166,16 @@ type txn_state = {
   recovery : Recovery.t;
   (* The object its method executes on, for the run-time recursion check. *)
   txn_oid : Oid.t;
+  fam : family;
   mutable reads : Serializability.access list;  (* newest first *)
   mutable writes : Serializability.access list;  (* newest first *)
+  (* Undo state parked by function-shipped descendants, one Recovery log
+     per remote execution site. A shipped child cannot merge its log into
+     a parent executing elsewhere — the pre-images belong to the site's
+     store — so precommit parks it here (and promotes parked entries up
+     the chain), until root commit drops them or an abort replays them
+     site by site. *)
+  mutable parked : (int * Recovery.t) list;
 }
 
 type t = {
@@ -186,11 +204,15 @@ type t = {
      prefetch fiber's pages are still on the wire; every grant path awaits
      this before the method body may touch the object. *)
   transfers : unit Sim.Engine.Ivar.t Itbl.t;
-  (* Family grant snapshots: the page map each family received for each
-     object it holds; consulted for staleness checks and demand fetches. *)
-  snapshots : Gdo.Directory.grant Oid.Table.t Txn_id.Table.t;
-  txns : txn_state Txn_id.Table.t;
+  (* Every live transaction's state, family state included (see
+     [family]): a ring indexed by transaction id, recycled as transactions
+     finish. *)
+  txns : txn_state Txn_id.Slab.t;
   mutable history : Serializability.committed_root list;
+  (* Whether transactions log their page accesses: read by the committed
+     history and by method-cache fills only, so a streaming run (no
+     history) without the cache skips the logging. *)
+  log_accesses : bool;
   mutable results : root_result list;
   mutable outstanding : int;
   mutable ran : bool;
@@ -232,18 +254,12 @@ type t = {
   lease_enabled : bool;
   lease_mgr : Gdo.Lease.t;  (* home-side manager (homes share the process) *)
   lease_caches : Gdo.Lease.Cache.cache array;  (* node-side, one per node *)
-  (* family -> objects whose read lock is lease-backed (invisible to the
-     directory), each mapped to the nodes whose lease caches back it (the
-     family's node; with function shipping, possibly several execution
-     sites): released locally at those nodes, validated at commit and at
-     upgrade. *)
-  lease_reads : int list Oid.Table.t Txn_id.Table.t;
   (* home-side: write acquisitions parked behind an in-progress lease
-     recall, keyed by object; drained FIFO when the recall clears. *)
-  lease_blocked : (unit -> unit) Queue.t Itbl.t;
-  (* object -> simulated time its in-progress recall was issued; feeds the
-     recall-to-clear latency histogram. *)
-  recall_started : float Itbl.t;
+     recall, per object; drained FIFO when the recall clears. *)
+  lease_blocked : (unit -> unit) Queue.t option Oid.Vec.t;
+  (* per object: simulated time its in-progress recall was issued; feeds
+     the recall-to-clear latency histogram. *)
+  recall_started : float option Oid.Vec.t;
   (* Method-result cache (see Dsm.Method_cache): per-node caches of
      read-only invocation read logs, consulted at invocation entry when the
      node's lease on the object is valid, invalidated through the lease
@@ -260,11 +276,11 @@ type t = {
   (* Root families whose executing node crashed under them: their fibers
      unwind with Crashed_abort at the next choke point and their directory
      residue is reclaimed at dead declaration. Never cleared — family ids
-     are never reused, so doom is a permanent fence against stragglers. *)
-  doomed : unit Txn_id.Table.t;
-  (* Root families currently executing an attempt (registered at attempt
-     start, dropped at attempt end): the set a crash entry dooms. *)
-  live_roots : unit Txn_id.Table.t;
+     are never reused, so doom is a permanent fence against stragglers.
+     Each maps to the family's function-shipping execution sites at doom
+     (no site registers after it), which reclamation consults once the
+     family's own state is gone. *)
+  doomed : int list Txn_id.Table.t;
   (* (node, incarnation) pairs already declared dead, so one incarnation
      is declared (and reclaimed) at most once across all observers. *)
   declared_dead : (int * int, unit) Hashtbl.t;
@@ -317,14 +333,6 @@ type t = {
      shipping-off runs byte-identical to the data-shipping runtime. *)
   ship_enabled : bool;
   ship_params : Dsm.Shipping.params option;  (* Some iff [ship_enabled] *)
-  ship_states : ship_state Txn_id.Table.t;  (* family -> pins + exec sites *)
-  (* owner transaction -> undo state parked by its function-shipped
-     descendants, one Recovery log per remote execution site. A shipped
-     child cannot merge its log into a parent executing elsewhere — the
-     pre-images belong to the site's store — so precommit parks it here
-     (and promotes parked entries up the chain), until root commit drops
-     them or an abort replays them site by site. *)
-  parked_logs : (int * Recovery.t) list ref Txn_id.Table.t;
   mutable ship_waits : ship_wait list;
   (* Escrow-commit subsystem (see Dsm.Escrow). Everything below is inert
      when [escrow_enabled] is false — the default — keeping escrow-off
@@ -333,14 +341,13 @@ type t = {
   escrow_params : Dsm.Escrow.params option;  (* Some iff [escrow_enabled] *)
   (* objects registered for escrow (their class declares a commuting
      method); the node-side test mirroring the directory's registration. *)
-  escrow_oids : unit Oid.Table.t;
-  escrow_ledgers : escrow_ledger Itbl.t array;  (* per node: oid -> ledger *)
-  escrow_fams : fam_escrow Txn_id.Table.t;
-  (* home-side: objects with a quota recall in flight, mapped to the number
-     of yields still outstanding — guards against re-bumping the epoch
+  escrow_oids : bool Oid.Vec.t;
+  escrow_ledgers : escrow_ledger option Oid.Vec.t array;  (* per node, per object *)
+  (* home-side, per object: the number of yields still outstanding for a
+     quota recall in flight (0: none) — guards against re-bumping the epoch
      under an open recall (which would strand the stale yields' quota) and
      clears exactly when the recalled epoch's last yield lands. *)
-  escrow_recalling : int Itbl.t;
+  escrow_recalling : int Oid.Vec.t;
   (* typed op log for [Serializability.check_escrow], newest first. *)
   mutable escrow_ops : Serializability.escrow_op list;
 }
@@ -402,6 +409,20 @@ let is_doomed t family = t.crash_enabled && Txn_id.Table.mem t.doomed family
    method-statement boundaries and before page fetches. *)
 let check_crashed t ~txn_root =
   if is_doomed t txn_root then raise Crashed_abort
+
+let new_family id =
+  { f_id = id; grants = []; leased = []; pins = []; exec_sites = []; fe_home = []; fe_local = [] }
+
+(* Fills the empty slots of [txns]; never returned. *)
+let dummy_txn_state cfg =
+  {
+    recovery = Recovery.create cfg.Config.recovery;
+    txn_oid = Oid.of_int 0;
+    fam = new_family (Txn_id.of_int 0);
+    reads = [];
+    writes = [];
+    parked = [];
+  }
 
 let create ~config:cfg ~catalog =
   (match Config.validate cfg with
@@ -472,9 +493,10 @@ let create ~config:cfg ~catalog =
       pending = Itbl.create 64;
       inflight = Itbl.create 16;
       transfers = Itbl.create 16;
-      snapshots = Txn_id.Table.create 64;
-      txns = Txn_id.Table.create 64;
+      txns = Txn_id.Slab.create ~dummy:(dummy_txn_state cfg);
       history = [];
+      log_accesses =
+        (not cfg.Config.streaming) || Dsm.Method_cache.policy_enabled cfg.Config.method_cache;
       results = [];
       outstanding = 0;
       ran = false;
@@ -507,9 +529,8 @@ let create ~config:cfg ~catalog =
       lease_mgr = Gdo.Lease.create cfg.Config.lease;
       lease_caches =
         Array.init cfg.Config.node_count (fun _ -> Gdo.Lease.Cache.create ());
-      lease_reads = Txn_id.Table.create 64;
-      lease_blocked = Itbl.create 16;
-      recall_started = Itbl.create 16;
+      lease_blocked = Oid.Vec.create ~default:None;
+      recall_started = Oid.Vec.create ~default:None;
       cache_enabled = Dsm.Method_cache.policy_enabled cfg.Config.method_cache;
       method_caches =
         Array.init cfg.Config.node_count (fun _ ->
@@ -518,7 +539,6 @@ let create ~config:cfg ~catalog =
       crashed = Array.make cfg.Config.node_count false;
       incarnation = Array.make cfg.Config.node_count 0;
       doomed = Txn_id.Table.create 16;
-      live_roots = Txn_id.Table.create 16;
       declared_dead = Hashtbl.create 8;
       suspected_seen = Hashtbl.create 16;
       detectors =
@@ -554,18 +574,16 @@ let create ~config:cfg ~catalog =
         (match cfg.Config.shipping with
         | Dsm.Shipping.Off -> None
         | Dsm.Shipping.On p -> Some p);
-      ship_states = Txn_id.Table.create 16;
-      parked_logs = Txn_id.Table.create 16;
       ship_waits = [];
       escrow_enabled = Dsm.Escrow.policy_enabled cfg.Config.escrow;
       escrow_params =
         (match cfg.Config.escrow with
         | Dsm.Escrow.Off -> None
         | Dsm.Escrow.On p -> Some p);
-      escrow_oids = Oid.Table.create 16;
-      escrow_ledgers = Array.init cfg.Config.node_count (fun _ -> Itbl.create 8);
-      escrow_fams = Txn_id.Table.create 16;
-      escrow_recalling = Itbl.create 8;
+      escrow_oids = Oid.Vec.create ~default:false;
+      escrow_ledgers =
+        Array.init cfg.Config.node_count (fun _ -> Oid.Vec.create ~default:None);
+      escrow_recalling = Oid.Vec.create ~default:0;
       escrow_ops = [];
     }
   in
@@ -611,7 +629,7 @@ let create ~config:cfg ~catalog =
                (Obj_class.methods (Catalog.find catalog oid).Catalog.cls) ->
           Gdo.Directory.register_escrow t.gdo oid ~lower:p.Dsm.Escrow.lower_bound
             ~upper:p.Dsm.Escrow.upper_bound ~initial:p.Dsm.Escrow.initial;
-          Oid.Table.replace t.escrow_oids oid ()
+          Oid.Vec.set t.escrow_oids oid true
       | Some _ | None -> ())
     (Catalog.oids catalog);
   t
@@ -815,31 +833,65 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
 (* ------------------------------------------------------------------ *)
 (* Per-transaction bookkeeping.                                        *)
 
+(* @raise Not_found once the transaction pre-committed, committed or
+   aborted. *)
+let txn_state t txn = Txn_id.Slab.get t.txns txn
+let drop_txn_state t txn = Txn_id.Slab.remove t.txns txn
+
+(* A root starts its family's state; a child shares its parent's. A child
+   whose invoker's state is already gone (a function-shipped fiber
+   outliving its family's abort) shares its root's, or starts a private
+   one that nothing else will read. *)
 let init_txn_state t txn ~oid =
-  Txn_id.Table.replace t.txns txn
-    { recovery = Recovery.create t.cfg.Config.recovery; txn_oid = oid; reads = []; writes = [] }
+  let fam =
+    match Txn_tree.parent t.tree txn with
+    | None -> new_family txn
+    | Some p -> (
+        match txn_state t p with
+        | ps -> ps.fam
+        | exception Not_found -> (
+            let root = Txn_tree.root_of t.tree txn in
+            match txn_state t root with
+            | rs -> rs.fam
+            | exception Not_found -> new_family root))
+  in
+  let s =
+    {
+      recovery = Recovery.create t.cfg.Config.recovery;
+      txn_oid = oid;
+      fam;
+      reads = [];
+      writes = [];
+      parked = [];
+    }
+  in
+  Txn_id.Slab.replace t.txns txn s;
+  s
 
-let txn_state t txn = Txn_id.Table.find t.txns txn
-let recovery_of t txn = (txn_state t txn).recovery
-let drop_txn_state t txn = Txn_id.Table.remove t.txns txn
+let without oid l = List.filter (fun (o, _) -> not (Oid.equal o oid)) l
 
-let family_snapshots t family =
-  match Txn_id.Table.find_opt t.snapshots family with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Oid.Table.create 8 in
-      Txn_id.Table.add t.snapshots family tbl;
-      tbl
+(* Stands for a missing snapshot in [snapshot]'s result; never a real
+   grant. *)
+let no_grant =
+  { Gdo.Directory.g_oid = Oid.of_int 0; g_mode = Lock.Read; g_page_nodes = [||];
+    g_page_versions = [||] }
 
-let snapshot t ~family ~oid =
-  match Oid.Table.find_opt (family_snapshots t family) oid with
-  | Some g -> g
-  | None ->
-      invalid_arg
-        (Format.asprintf "Runtime: family %a has no grant snapshot for %a" Txn_id.pp family
-           Oid.pp oid)
+(* The family's grant snapshot for [oid], or [no_grant]: a scan of a short
+   list, no allocation. *)
+let snapshot fam oid =
+  let rec find = function
+    | [] -> no_grant
+    | (o, g) :: rest -> if Oid.equal o oid then g else find rest
+  in
+  find fam.grants
 
-let set_snapshot t ~family ~oid grant = Oid.Table.replace (family_snapshots t family) oid grant
+let check_snapshot fam oid g =
+  if g == no_grant then
+    invalid_arg
+      (Format.asprintf "Runtime: family %a has no grant snapshot for %a" Txn_id.pp fam.f_id
+         Oid.pp oid)
+
+let set_snapshot fam ~oid grant = fam.grants <- (oid, grant) :: without oid fam.grants
 
 (* ------------------------------------------------------------------ *)
 (* GDO interaction (Algorithms 4.2 and 4.4, message side).             *)
@@ -898,20 +950,20 @@ let replicate_gdo_update t ~home ~oid =
    order — the first (the excluded writer) reaches the directory first and
    is therefore the first granted. *)
 let drain_lease_blocked t ~oid =
-  match Itbl.find_opt t.lease_blocked (Oid.to_int oid) with
+  match Oid.Vec.get t.lease_blocked oid with
   | None -> ()
   | Some q ->
-      Itbl.remove t.lease_blocked (Oid.to_int oid);
+      Oid.Vec.set t.lease_blocked oid None;
       Queue.iter (fun k -> k ()) q
 
 (* Executed at the GDO home when a Lease_yield arrives. *)
 (* The recall latency span closes here (last yield) or at the TTL
    force-clear — whichever resolves the recall. *)
 let note_recall_resolved t ~oid =
-  match Itbl.find_opt t.recall_started (Oid.to_int oid) with
+  match Oid.Vec.get t.recall_started oid with
   | None -> ()
   | Some t0 ->
-      Itbl.remove t.recall_started (Oid.to_int oid);
+      Oid.Vec.set t.recall_started oid None;
       Dsm.Metrics.record_recall_latency_us t.metrics (Sim.Engine.now t.engine -. t0)
 
 let process_lease_yield t ~oid ~node ~epoch =
@@ -963,7 +1015,7 @@ let start_lease_recall t ~home ~oid ~excluded =
       record_event t (fun () ->
           Dsm.Event.Lease_recall
             { oid; node = home; nodes = List.length ro_nodes; epoch = ro_epoch });
-      Itbl.replace t.recall_started (Oid.to_int oid) now;
+      Oid.Vec.set t.recall_started oid (Some now);
       List.iter
         (fun node ->
           let deliver () = handle_lease_recall t ~node ~oid ~epoch:ro_epoch ~excluded in
@@ -1035,8 +1087,7 @@ let family_defunct t family =
    off.                                                                *)
 
 let escrow_ledger t ~node oid =
-  let key = Oid.to_int oid in
-  match Itbl.find_opt t.escrow_ledgers.(node) key with
+  match Oid.Vec.get t.escrow_ledgers.(node) oid with
   | Some l -> l
   | None ->
       let l =
@@ -1050,16 +1101,8 @@ let escrow_ledger t ~node oid =
           el_epoch = 0;
         }
       in
-      Itbl.replace t.escrow_ledgers.(node) key l;
+      Oid.Vec.set t.escrow_ledgers.(node) oid (Some l);
       l
-
-let fam_escrow_of t family =
-  match Txn_id.Table.find_opt t.escrow_fams family with
-  | Some fe -> fe
-  | None ->
-      let fe = { fe_home = []; fe_local = [] } in
-      Txn_id.Table.replace t.escrow_fams family fe;
-      fe
 
 (* The op log replayed by [Serializability.check_escrow]. Node-side
    effects (local commits, reconcile sends, recall surrenders) are logged
@@ -1117,8 +1160,8 @@ and deliver_deferred_grant t ~home (d : Gdo.Directory.delivery) =
 and maybe_recall_escrow t ~home ~oid =
   if Gdo.Directory.has_escrow t.gdo oid then begin
     let quotas = Gdo.Directory.escrow_quotas t.gdo oid in
-    if quotas <> [] && not (Itbl.mem t.escrow_recalling (Oid.to_int oid)) then begin
-      Itbl.replace t.escrow_recalling (Oid.to_int oid) (List.length quotas);
+    if quotas <> [] && Oid.Vec.get t.escrow_recalling oid = 0 then begin
+      Oid.Vec.set t.escrow_recalling oid (List.length quotas);
       let epoch = Gdo.Directory.escrow_begin_recall t.gdo oid in
       Dsm.Metrics.incr_escrow_recalls t.metrics;
       record_event t (fun () ->
@@ -1143,11 +1186,13 @@ and node_escrow_yield t ~node ~home ~oid ~epoch =
   if epoch > l.el_epoch then begin
     l.el_epoch <- epoch;
     let carried = ref [] in
-    (* Each step edits only its own family's rows; the carried rows are
-       sorted by family before anything is sent or logged. *)
-    Txn_id.Table.iter
-      (fun f fe ->
-        if Txn_tree.node_of t.tree f = node then
+    (* Each step edits only its own family's rows (a family's state sits in
+       its root's slot); the carried rows are sorted by family before
+       anything is sent or logged. *)
+    Txn_id.Slab.iter
+      (fun f s ->
+        let fe = s.fam in
+        if Txn_id.equal f fe.f_id && Txn_tree.node_of t.tree f = node then
           match List.find_opt (fun (o, _, _, _) -> Oid.equal o oid) fe.fe_local with
           | Some (_, up, down, d) ->
               fe.fe_local <- List.filter (fun (o, _, _, _) -> not (Oid.equal o oid)) fe.fe_local;
@@ -1155,7 +1200,7 @@ and node_escrow_yield t ~node ~home ~oid ~epoch =
                 fe.fe_home <- oid :: fe.fe_home;
               carried := (f, up, down, d) :: !carried
           | None -> ())
-      t.escrow_fams;
+      t.txns;
     let carried =
       List.sort (fun (a, _, _, _) (b, _, _, _) -> Txn_id.compare a b) !carried
     in
@@ -1198,10 +1243,9 @@ and process_escrow_yield t ~home ~oid ~node ~epoch ~delta ~used_up ~used_down ~c
       let deliveries, victims =
         Gdo.Directory.escrow_yield t.gdo oid ~node ~epoch ~delta ~used_up ~used_down ~carried
       in
-      (match Itbl.find_opt t.escrow_recalling (Oid.to_int oid) with
-      | Some n when n <= 1 -> Itbl.remove t.escrow_recalling (Oid.to_int oid)
-      | Some n -> Itbl.replace t.escrow_recalling (Oid.to_int oid) (n - 1)
-      | None -> ());
+      (match Oid.Vec.get t.escrow_recalling oid with
+      | 0 -> ()
+      | n -> Oid.Vec.set t.escrow_recalling oid (n - 1));
       List.iter
         (fun (f, vnode) ->
           match Itbl.find_opt t.pending (okey oid f) with
@@ -1234,7 +1278,7 @@ let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want
                later reconcile of them would underflow the quota ledger. *)
             if
               (want_up > 0 || want_down > 0)
-              && not (Itbl.mem t.escrow_recalling (Oid.to_int oid))
+              && Oid.Vec.get t.escrow_recalling oid = 0
             then
               Gdo.Directory.escrow_delegate t.gdo oid ~node:requester ~up:want_up
                 ~down:want_down
@@ -1265,7 +1309,7 @@ let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want
    Returns true when admitted; any delegated quota is installed into the
    node's ledger either way so a refused call still leaves the fast path
    armed for the next one. *)
-let escrow_request t ~node ~family ~oid ~delta =
+let escrow_request t ~node ~(fam : family) ~oid ~delta =
   let p = match t.escrow_params with Some p -> p | None -> assert false in
   let l = escrow_ledger t ~node oid in
   let want_up = if delta > 0 then max 0 (p.Dsm.Escrow.local_quota - l.el_q_up) else 0 in
@@ -1274,7 +1318,8 @@ let escrow_request t ~node ~family ~oid ~delta =
   let iv = Sim.Engine.Ivar.create () in
   let epoch0 = l.el_epoch in
   let start () =
-    process_escrow_request t ~home ~requester:node ~family ~oid ~delta ~want_up ~want_down iv
+    process_escrow_request t ~home ~requester:node ~family:fam.f_id ~oid ~delta ~want_up
+      ~want_down iv
   in
   if home = node then start ()
   else
@@ -1292,10 +1337,8 @@ let escrow_request t ~node ~family ~oid ~delta =
     if gu > 0 then l.el_q_up <- l.el_q_up + gu;
     if gd > 0 then l.el_q_down <- l.el_q_down + gd
   end;
-  if admitted then begin
-    let fe = fam_escrow_of t family in
-    if not (List.exists (Oid.equal oid) fe.fe_home) then fe.fe_home <- oid :: fe.fe_home
-  end;
+  if admitted && not (List.exists (Oid.equal oid) fam.fe_home) then
+    fam.fe_home <- oid :: fam.fe_home;
   admitted
 
 (* Recall-before-write: a write acquisition reaching a home with leases
@@ -1314,11 +1357,11 @@ let gate_lease_write t ~home ~requester ~family ~oid ~block ~core
     if not block then reply_from_home t ~home ~dst:requester ~oid iv (Error Busy)
     else begin
       let q =
-        match Itbl.find_opt t.lease_blocked (Oid.to_int oid) with
+        match Oid.Vec.get t.lease_blocked oid with
         | Some q -> q
         | None ->
             let q = Queue.create () in
-            Itbl.replace t.lease_blocked (Oid.to_int oid) q;
+            Oid.Vec.set t.lease_blocked oid (Some q);
             q
       in
       Queue.add core q;
@@ -1624,16 +1667,13 @@ let recompute_acting_homes t =
    surviving copy of the same committed version. *)
 let reclaim_dead_node t ~node:s ~repoint =
   let dead f =
-    Txn_id.Table.mem t.doomed f
-    && (Txn_tree.node_of t.tree f = s
-       ||
-       (* A family rooted elsewhere but with a function-shipped executor
-          registered at the dead node is just as gone. *)
-       t.ship_enabled
-       &&
-       match Txn_id.Table.find_opt t.ship_states f with
-       | Some st -> List.exists (fun (n, _) -> n = s) st.exec_sites
-       | None -> false)
+    match Txn_id.Table.find_opt t.doomed f with
+    | None -> false
+    | Some sites ->
+        Txn_tree.node_of t.tree f = s
+        (* A family rooted elsewhere but with a function-shipped executor
+           registered at the dead node is just as gone. *)
+        || (t.ship_enabled && List.mem s sites)
   in
   let evicted, deliveries = Gdo.Directory.evict_families t.gdo ~dead in
   if t.lease_enabled then
@@ -1905,20 +1945,19 @@ let crash_enter t ~node:d =
   (* Doom every family executing at the node — rooted here, or with a
      function-shipped executor registered here (its uncommitted writes in
      this store are about to be wiped): ids are never reused, so the mark
-     permanently fences the family's pre-crash stragglers. Iteration order
-     cannot escape: each step only adds to [doomed], which is never
-     iterated, only tested with [mem]. *)
-  Txn_id.Table.iter
-    (fun f () ->
+     permanently fences the family's pre-crash stragglers. The families
+     executing an attempt are exactly the roots with live state. Iteration
+     order cannot escape: each step only adds to [doomed], which is never
+     iterated, only looked up. *)
+  Txn_id.Slab.iter
+    (fun f s ->
+      let fam = s.fam in
       if
-        Txn_tree.node_of t.tree f = d
-        || t.ship_enabled
-           &&
-           (match Txn_id.Table.find_opt t.ship_states f with
-           | Some st -> List.exists (fun (n, _) -> n = d) st.exec_sites
-           | None -> false)
-      then Txn_id.Table.replace t.doomed f ())
-    t.live_roots;
+        Txn_id.equal f fam.f_id
+        && (Txn_tree.node_of t.tree f = d
+           || (t.ship_enabled && List.exists (fun (n, _) -> n = d) fam.exec_sites))
+      then Txn_id.Table.replace t.doomed f (List.map fst fam.exec_sites))
+    t.txns;
   (* Unblock global acquires that cannot complete: requests by doomed
      families and requests routed to this node as acting home (checked
      before the failover recompute below, matching send-time routing). *)
@@ -2216,8 +2255,8 @@ let transfer_on_acquire t ~family ~node ~oid ~(grant : Gdo.Directory.grant) ~pre
    pages). For COTEC/OTEC a stale page here is a protocol bug. [predicted]
    is the running method's predicted access set, used by the
    [aggregate_fetch] batching feature to widen the round. *)
-let ensure_pages t ~family ~node ~oid ~predicted pages =
-  let g = snapshot t ~family ~oid in
+let ensure_pages t ~(fam : family) ~(g : Gdo.Directory.grant) ~node ~oid ~predicted pages =
+  check_snapshot fam oid g;
   let stale_of ps =
     List.filter
       (fun p ->
@@ -2262,7 +2301,7 @@ let ensure_pages t ~family ~node ~oid ~predicted pages =
         Dsm.Event.Demand_fetch
           { oid; node; pages = n;
             bytes = n * (t.cfg.Config.page_size + t.cfg.Config.page_header_bytes) });
-    fetch_groups t ~family ~node ~oid (group_by_source ~node ~oid g fetch)
+    fetch_groups t ~family:fam.f_id ~node ~oid (group_by_source ~node ~oid g fetch)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2270,42 +2309,24 @@ let ensure_pages t ~family ~node ~oid ~predicted pages =
    lease-backed (the directory never saw them), and their validation at
    commit/upgrade time.                                                 *)
 
-let family_lease_reads t family =
-  match Txn_id.Table.find_opt t.lease_reads family with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Oid.Table.create 4 in
-      Txn_id.Table.add t.lease_reads family tbl;
-      tbl
-
 (* The nodes whose lease caches back the family's read on [oid] — the
    family's own site, plus (with function shipping) any shipped reader's
    execution site. A singleton whenever shipping is off. *)
-let lease_nodes t ~family ~oid =
-  match Txn_id.Table.find_opt t.lease_reads family with
-  | Some tbl -> Option.value ~default:[] (Oid.Table.find_opt tbl oid)
-  | None -> []
+let lease_nodes fam ~oid = match List.assoc_opt oid fam.leased with Some l -> l | None -> []
 
-let mark_lease_backed t ~family ~oid ~node =
-  let tbl = family_lease_reads t family in
-  let cur = Option.value ~default:[] (Oid.Table.find_opt tbl oid) in
-  if not (List.mem node cur) then Oid.Table.replace tbl oid (cur @ [ node ])
+let mark_lease_backed fam ~oid ~node =
+  let cur = lease_nodes fam ~oid in
+  if not (List.mem node cur) then fam.leased <- (oid, cur @ [ node ]) :: without oid fam.leased
 
-let unmark_lease_backed t ~family ~oid =
-  match Txn_id.Table.find_opt t.lease_reads family with
-  | Some tbl -> Oid.Table.remove tbl oid
-  | None -> ()
+let unmark_lease_backed fam ~oid = fam.leased <- without oid fam.leased
 
 (* Drop one site's backing of the read; other sites' backings remain. *)
-let unmark_lease_backed_at t ~family ~oid ~node =
-  match Txn_id.Table.find_opt t.lease_reads family with
-  | Some tbl -> (
-      match Oid.Table.find_opt tbl oid with
-      | Some nodes -> (
-          match List.filter (fun n -> n <> node) nodes with
-          | [] -> Oid.Table.remove tbl oid
-          | rest -> Oid.Table.replace tbl oid rest)
-      | None -> ())
+let unmark_lease_backed_at fam ~oid ~node =
+  match List.assoc_opt oid fam.leased with
+  | Some nodes -> (
+      match List.filter (fun n -> n <> node) nodes with
+      | [] -> unmark_lease_backed fam ~oid
+      | rest -> fam.leased <- (oid, rest) :: without oid fam.leased)
   | None -> ()
 
 (* Satisfy a read-mode acquire from the node's lease cache, if it holds a
@@ -2328,22 +2349,16 @@ let lease_release t ~node ~family ~oid =
    reader whose lease expired or was superseded may have read data a writer
    has since been allowed to overwrite, so the family must abort and
    retry. *)
-let validate_lease_reads t ~family =
+let validate_lease_reads t fam =
   (not t.lease_enabled)
   ||
-  match Txn_id.Table.find_opt t.lease_reads family with
-  | None -> true
-  | Some tbl ->
-      let now = Sim.Engine.now t.engine in
-      Oid.Table.fold
-        (fun oid nodes ok ->
-          ok
-          && List.for_all
-               (fun node -> Gdo.Lease.Cache.valid t.lease_caches.(node) oid ~family ~now)
-               nodes)
-        tbl true
-
-let drop_lease_reads t family = Txn_id.Table.remove t.lease_reads family
+  let now = Sim.Engine.now t.engine in
+  List.for_all
+    (fun (oid, nodes) ->
+      List.for_all
+        (fun node -> Gdo.Lease.Cache.valid t.lease_caches.(node) oid ~family:fam.f_id ~now)
+        nodes)
+    fam.leased
 
 (* ------------------------------------------------------------------ *)
 (* Lock acquisition at method entry (Algorithm 4.1 + global path).     *)
@@ -2360,9 +2375,9 @@ let await_transfer t ~family ~oid =
    (Busy is a silent no-op) and never upgrade — the invoking child falls back
    to a normal acquisition later. Returns true when the lock is held on
    return. *)
-let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
+let rec acquire_object t ~txn ~(fam : family) ~oid ~mode ~predicted ~optimistic =
   let node = Txn_tree.node_of t.tree txn in
-  let family = Txn_tree.root_of t.tree txn in
+  let family = fam.f_id in
   check_crashed t ~txn_root:family;
   (* A function-shipped fiber can outlive its family's abort (the invoker's
      transport gave up on the round trip and unwound). Stop it at the next
@@ -2391,7 +2406,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
         let t0 = Sim.Engine.now t.engine in
         match gdo_acquire t ~node ~family ~oid ~mode:Lock.Write ~block:true with
         | Ok (g, _) ->
-            (match lease_nodes t ~family ~oid with
+            (match lease_nodes fam ~oid with
             | lnodes when t.lease_enabled && lnodes <> [] ->
                 (* The read being upgraded never reached the directory: this
                    write grant is fresh, not an upgrade, and the lease that
@@ -2415,18 +2430,18 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
                   gdo_release t ~node ~family [ (oid, []) ];
                   raise Family_abort
                 end;
-                unmark_lease_backed t ~family ~oid;
+                unmark_lease_backed fam ~oid;
                 List.iter (fun lnode -> lease_release t ~node:lnode ~family ~oid) lnodes
             | _ -> ());
             Local_locks.upgrade_granted t.locks.(node) oid ~txn;
             Dsm.Metrics.record_acquire_latency_us t.metrics (Sim.Engine.now t.engine -. t0);
-            set_snapshot t ~family ~oid g;
+            set_snapshot fam ~oid g;
             await_transfer t ~family ~oid;
             true
         | Error Busy ->
             (* We shared the reply of an in-flight non-blocking prefetch;
                issue our own blocking request. *)
-            acquire_object t ~txn ~oid ~mode ~predicted ~optimistic
+            acquire_object t ~txn ~fam ~oid ~mode ~predicted ~optimistic
         | Error (Deadlock _) ->
             Dsm.Metrics.incr_deadlock_aborts t.metrics;
             raise Family_abort
@@ -2446,9 +2461,9 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
              grant. *)
           Dsm.Metrics.incr_lease_hits t.metrics;
           Local_locks.install_grant t.locks.(node) oid ~txn ~mode;
-          set_snapshot t ~family ~oid g;
+          set_snapshot fam ~oid g;
           Gdo.Lease.Cache.add_reader t.lease_caches.(node) oid ~family;
-          mark_lease_backed t ~family ~oid ~node;
+          mark_lease_backed fam ~oid ~node;
           record_event t (fun () -> Dsm.Event.Lease_hit { oid; family = txn; node });
           true
       | None -> (
@@ -2462,11 +2477,11 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
           if had_inflight then
             (* Another fiber of this family raced us and already installed
                the grant; just retry the local path. *)
-            acquire_object t ~txn ~oid ~mode ~predicted ~optimistic
+            acquire_object t ~txn ~fam ~oid ~mode ~predicted ~optimistic
           else begin
             Local_locks.install_grant t.locks.(node) oid ~txn ~mode;
             Dsm.Metrics.record_acquire_latency_us t.metrics (Sim.Engine.now t.engine -. t0);
-            set_snapshot t ~family ~oid g;
+            set_snapshot fam ~oid g;
             Dsm.Metrics.record_acquisition t.metrics ~oid;
             record_event t (fun () -> Dsm.Event.Lock_grant { oid; family = txn; node; mode });
             let transfer_iv = Sim.Engine.Ivar.create () in
@@ -2502,7 +2517,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
           else
             (* A shared in-flight prefetch reply; retry as a blocking
                request of our own. *)
-            acquire_object t ~txn ~oid ~mode ~predicted ~optimistic
+            acquire_object t ~txn ~fam ~oid ~mode ~predicted ~optimistic
       | Error (Deadlock cycle) ->
           record_event t (fun () ->
               Dsm.Event.Lock_refused { oid; family = txn; node; busy = false });
@@ -2531,81 +2546,55 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
    is inert when shipping is off — no table ever gains an entry, keeping
    shipping-off runs byte-identical.                                     *)
 
-(* The family's ship state, created at its first dispatch decision with the
-   root's own node registered as the first execution site. *)
-let ship_state_of t ~family ~node =
-  match Txn_id.Table.find_opt t.ship_states family with
-  | Some s -> s
-  | None ->
-      let inc = if t.crash_enabled then t.incarnation.(node) else 0 in
-      let s = { pins = Oid.Table.create 8; exec_sites = [ (node, inc) ] } in
-      Txn_id.Table.add t.ship_states family s;
-      s
+(* Register the family's first execution site — the root's own node — at
+   its first dispatch decision. *)
+let start_exec_sites t (fam : family) ~node =
+  if fam.exec_sites = [] then begin
+    let inc = if t.crash_enabled then t.incarnation.(node) else 0 in
+    fam.exec_sites <- [ (node, inc) ]
+  end
 
-(* Register a Ship_invoke delivery site. The state already exists: the
-   deciding invoker created it before sending. *)
-let register_ship_site t ~family ~site =
-  let s = Txn_id.Table.find t.ship_states family in
-  if not (List.exists (fun (n, _) -> n = site) s.exec_sites) then begin
+(* Register a Ship_invoke delivery site; the deciding invoker registered
+   the first one before sending. *)
+let register_ship_site t (fam : family) ~site =
+  if not (List.exists (fun (n, _) -> n = site) fam.exec_sites) then begin
     let inc = if t.crash_enabled then t.incarnation.(site) else 0 in
-    s.exec_sites <- s.exec_sites @ [ (site, inc) ]
+    fam.exec_sites <- fam.exec_sites @ [ (site, inc) ]
   end
 
 (* Every node the family has executed at — [node] (the caller's notion of
    the transaction's site) first, then the other registered sites. The
    completion paths iterate this for lock disposition; each per-site
    operation is a no-op at sites where the transaction holds nothing. *)
-let family_exec_sites t ~family ~node =
-  if not t.ship_enabled then [ node ]
-  else
-    match Txn_id.Table.find_opt t.ship_states family with
-    | None -> [ node ]
-    | Some s ->
-        node :: List.filter_map (fun (n, _) -> if n = node then None else Some n) s.exec_sites
+let family_exec_sites t (fam : family) ~node =
+  if (not t.ship_enabled) || fam.exec_sites = [] then [ node ]
+  else node :: List.filter_map (fun (n, _) -> if n = node then None else Some n) fam.exec_sites
 
 (* A registered execution site whose store still holds the family's
    uncommitted writes: not currently crashed, and at the incarnation it was
    registered under (a crashed site's wipe already discarded the writes,
    and restoring pre-images over the durable versions would resurrect
    them). *)
-let intact_site t ~family ~site =
-  match Txn_id.Table.find_opt t.ship_states family with
-  | None -> false
-  | Some s ->
-      List.exists
-        (fun (n, inc) ->
-          n = site
-          && ((not t.crash_enabled)
-             || ((not t.crashed.(site)) && t.incarnation.(site) = inc)))
-        s.exec_sites
-
-let parked_of t txn =
-  match Txn_id.Table.find_opt t.parked_logs txn with Some cell -> !cell | None -> []
-
-let drop_parked t txn = Txn_id.Table.remove t.parked_logs txn
+let intact_site t (fam : family) ~site =
+  List.exists
+    (fun (n, inc) ->
+      n = site
+      && ((not t.crash_enabled) || ((not t.crashed.(site)) && t.incarnation.(site) = inc)))
+    fam.exec_sites
 
 (* Park a shipped descendant's recovery log under [owner], keyed by the
    execution site whose store its pre-images belong to; a log already
    parked for the site absorbs the new one (the new log's entries are
    newer: family execution is sequential). Empty logs park nothing —
    read-only shipped children leave no undo state behind. *)
-let park_log t ~owner ~site log =
-  if not (Recovery.is_empty log) then begin
-    let cell =
-      match Txn_id.Table.find_opt t.parked_logs owner with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Txn_id.Table.add t.parked_logs owner c;
-          c
-    in
-    match List.assoc_opt site !cell with
+let park_log t ~(owner : txn_state) ~site log =
+  if not (Recovery.is_empty log) then
+    match List.assoc_opt site owner.parked with
     | Some existing -> Recovery.merge_into_parent ~child:log ~parent:existing
     | None ->
         let fresh = Recovery.create t.cfg.Config.recovery in
         Recovery.merge_into_parent ~child:log ~parent:fresh;
-        cell := !cell @ [ (site, fresh) ]
-  end
+        owner.parked <- owner.parked @ [ (site, fresh) ]
 
 (* Apply recovery logs over a node's store. A single log restores exactly
    as the single-site runtime always has (sequential newest-first
@@ -2649,31 +2638,29 @@ let precommit_txn t txn =
     | None -> invalid_arg "Runtime.precommit_txn: root"
   in
   let node = Txn_tree.node_of t.tree txn in
-  let family = Txn_tree.root_of t.tree txn in
+  let child = txn_state t txn in
   Sim.Engine.wait t.cfg.Config.local_lock_op_us;
   (* The child's (and its precommitted descendants') locks may live in
      several sites' tables; the parent inherits them wherever they are. *)
   List.iter
     (fun site -> Local_locks.precommit t.locks.(site) txn)
-    (family_exec_sites t ~family ~node);
+    (family_exec_sites t child.fam ~node);
   let pnode = Txn_tree.node_of t.tree parent in
-  if node = pnode then
-    Recovery.merge_into_parent ~child:(recovery_of t txn) ~parent:(recovery_of t parent)
+  let ps = txn_state t parent in
+  if node = pnode then Recovery.merge_into_parent ~child:child.recovery ~parent:ps.recovery
   else
     (* Function-shipped child: its pre-images belong to [node]'s store and
        cannot merge into a parent log that restores at [pnode]; park them
        under the parent instead. *)
-    park_log t ~owner:parent ~site:node (recovery_of t txn);
+    park_log t ~owner:ps ~site:node child.recovery;
   (* Promote undo state the child's own shipped descendants parked under
      it: logs for the parent's site join the parent's own log, the rest
      stay parked (now under the parent). *)
   List.iter
     (fun (site, log) ->
-      if site = pnode then Recovery.merge_into_parent ~child:log ~parent:(recovery_of t parent)
-      else park_log t ~owner:parent ~site log)
-    (parked_of t txn);
-  drop_parked t txn;
-  let child = txn_state t txn and ps = txn_state t parent in
+      if site = pnode then Recovery.merge_into_parent ~child:log ~parent:ps.recovery
+      else park_log t ~owner:ps ~site log)
+    child.parked;
   ps.reads <- child.reads @ ps.reads;
   ps.writes <- child.writes @ ps.writes;
   Txn_tree.set_status t.tree txn Txn_tree.Precommitted;
@@ -2682,8 +2669,8 @@ let precommit_txn t txn =
 
 let undo_txn t txn =
   let node = Txn_tree.node_of t.tree txn in
-  let log = recovery_of t txn in
-  let parked = parked_of t txn in
+  let s = txn_state t txn in
+  let log = s.recovery and parked = s.parked in
   let cost =
     Recovery.restore_cost_units log
     + List.fold_left (fun acc (_, l) -> acc + Recovery.restore_cost_units l) 0 parked
@@ -2715,23 +2702,21 @@ let undo_txn t txn =
    cascades the doom through same-node families. *)
 let crashed_purge_sub t txn =
   let node = Txn_tree.node_of t.tree txn in
-  let family = Txn_tree.root_of t.tree txn in
+  let s = txn_state t txn in
   (* With shipping, doom may have come from a crash elsewhere in the
      family's execution-site set: sites that did NOT crash still hold the
      family's uncommitted writes, which the wipe did not discard. Restore
      them here (and the parked state of shipped descendants), intact sites
      only. *)
   if t.ship_enabled then begin
-    if intact_site t ~family ~site:node then restore_logs t ~node [ recovery_of t txn ];
+    if intact_site t s.fam ~site:node then restore_logs t ~node [ s.recovery ];
     List.iter
-      (fun (site, log) ->
-        if intact_site t ~family ~site then restore_logs t ~node:site [ log ])
-      (parked_of t txn);
-    drop_parked t txn
+      (fun (site, log) -> if intact_site t s.fam ~site then restore_logs t ~node:site [ log ])
+      s.parked
   end;
   List.iter
     (fun site -> Local_locks.abort t.locks.(site) txn ~to_release:(fun _ -> ()))
-    (family_exec_sites t ~family ~node);
+    (family_exec_sites t s.fam ~node);
   Txn_tree.set_status t.tree txn Txn_tree.Aborted;
   drop_txn_state t txn
 
@@ -2740,29 +2725,29 @@ let abort_sub_txn t txn =
   undo_txn t txn;
   Sim.Engine.wait t.cfg.Config.local_lock_op_us;
   check_crashed t ~txn_root:(Txn_tree.root_of t.tree txn);
+  let fam = (txn_state t txn).fam in
   let family = Txn_tree.root_of t.tree txn in
   let release site oid =
-    Oid.Table.remove (family_snapshots t family) oid;
-    if t.lease_enabled && List.mem site (lease_nodes t ~family ~oid) then begin
+    fam.grants <- without oid fam.grants;
+    if t.lease_enabled && List.mem site (lease_nodes fam ~oid) then begin
       (* The directory never saw this site's read lock: release it against
          the site's lease cache only. *)
-      unmark_lease_backed_at t ~family ~oid ~node:site;
+      unmark_lease_backed_at fam ~oid ~node:site;
       lease_release t ~node:site ~family ~oid
     end
     else gdo_release t ~node:site ~family [ (oid, []) ]
   in
   List.iter
     (fun site -> Local_locks.abort t.locks.(site) txn ~to_release:(release site))
-    (family_exec_sites t ~family ~node);
+    (family_exec_sites t fam ~node);
   Txn_tree.set_status t.tree txn Txn_tree.Aborted;
   record_event t (fun () -> Dsm.Event.Sub_abort { txn; node });
-  drop_parked t txn;
   drop_txn_state t txn
 
 (* Dirty info for the family's release: for every page its undo log touched,
    report the final local version so the GDO page map points here. *)
-let dirty_items t ~node ~root released =
-  let dirty = Recovery.dirty_pages (recovery_of t root) in
+let dirty_items t ~node ~(root : txn_state) released =
+  let dirty = Recovery.dirty_pages root.recovery in
   (* Locks are held to root commit (rule 2), so every dirty object must
      still be family-held — otherwise its dirty info would be lost here. *)
   List.iter
@@ -2836,25 +2821,30 @@ let eager_push t ~node items =
    locks (released globally as before). Lease-backed locks are read-only by
    construction: a write would have upgraded, and upgrading converts the
    lock to a directory lock. *)
-let split_lease_released t ~site ~family released =
+let split_lease_released t ~site (fam : family) released =
   if not t.lease_enabled then released
   else begin
     let leased, global =
-      List.partition (fun oid -> List.mem site (lease_nodes t ~family ~oid)) released
+      List.partition (fun oid -> List.mem site (lease_nodes fam ~oid)) released
     in
     List.iter
       (fun oid ->
-        unmark_lease_backed_at t ~family ~oid ~node:site;
-        lease_release t ~node:site ~family ~oid)
+        unmark_lease_backed_at fam ~oid ~node:site;
+        lease_release t ~node:site ~family:fam.f_id ~oid)
       leased;
     global
   end
 
-(* Drop a completed family's function-shipping state. *)
-let drop_ship_state t root =
-  if t.ship_enabled then begin
-    Txn_id.Table.remove t.ship_states root;
-    drop_parked t root
+(* A finished family's state is emptied, not just unlinked with its root's
+   slot: a straggling fiber of the family (function shipping under a faulty
+   transport) still holds it and must find no grants, lease-backed reads or
+   (unless kept) execution sites. Escrow rows are emptied when resolved. *)
+let retire_family fam ~keep_ship =
+  fam.grants <- [];
+  fam.leased <- [];
+  if not keep_ship then begin
+    fam.pins <- [];
+    fam.exec_sites <- []
   end
 
 (* Push a node ledger's unreconciled local commits home: one message, the
@@ -2889,57 +2879,56 @@ let escrow_send_reconcile t ~node oid (l : escrow_ledger) =
    return to the delegated quota. Home-side reservations get one
    resolution message per object either way, so the home folds (or drops)
    the family's row and promotes any queued waiters. *)
-let escrow_resolve_family t root ~node ~commit =
-  match Txn_id.Table.find_opt t.escrow_fams root with
-  | None -> ()
-  | Some fe ->
-      Txn_id.Table.remove t.escrow_fams root;
-      let p = match t.escrow_params with Some p -> p | None -> assert false in
-      let local = List.sort (fun (a, _, _, _) (b, _, _, _) -> Oid.compare a b) fe.fe_local in
-      List.iter
-        (fun (oid, up, down, nd) ->
-          let l = escrow_ledger t ~node oid in
-          if commit then begin
-            (* Two checker ops when the family held units on both sides, so
-               the replayed quota spend matches the reconcile report. *)
-            if up > 0 then begin
-              l.el_spent_up <- l.el_spent_up + up;
-              record_escrow_op t (Serializability.E_local_commit { oid; node; delta = up })
-            end;
-            if down > 0 then begin
-              l.el_spent_down <- l.el_spent_down + down;
-              record_escrow_op t (Serializability.E_local_commit { oid; node; delta = -down })
-            end;
-            l.el_pending <- l.el_pending + nd;
-            l.el_commits <- l.el_commits + 1;
-            if l.el_commits >= p.Dsm.Escrow.reconcile_every then
-              escrow_send_reconcile t ~node oid l
-          end
-          else begin
-            l.el_q_up <- l.el_q_up + up;
-            l.el_q_down <- l.el_q_down + down
-          end)
-        local;
-      List.iter
-        (fun oid ->
-          let home = home_of t oid in
-          let resolve () =
-            Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
-                let deliveries =
-                  if commit then Gdo.Directory.escrow_commit t.gdo oid ~family:root
-                  else Gdo.Directory.escrow_abort t.gdo oid ~family:root
-                in
-                record_escrow_op t
-                  (if commit then Serializability.E_commit { oid; family = root }
-                   else Serializability.E_abort { oid; family = root });
-                List.iter (deliver_deferred_grant t ~home) deliveries)
-          in
-          if home = node then resolve ()
-          else
-            send_exec t ~mtype:Dsm.Wire.Escrow_commit ~src:node ~dst:home
-              ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes
-              ~tag:(tag_of oid) resolve)
-        (List.sort Oid.compare fe.fe_home)
+let escrow_resolve_family t (fe : family) ~node ~commit =
+  let root = fe.f_id and fe_home = fe.fe_home and fe_local = fe.fe_local in
+  fe.fe_home <- [];
+  fe.fe_local <- [];
+  let p = match t.escrow_params with Some p -> p | None -> assert false in
+  let local = List.sort (fun (a, _, _, _) (b, _, _, _) -> Oid.compare a b) fe_local in
+  List.iter
+    (fun (oid, up, down, nd) ->
+      let l = escrow_ledger t ~node oid in
+      if commit then begin
+        (* Two checker ops when the family held units on both sides, so
+           the replayed quota spend matches the reconcile report. *)
+        if up > 0 then begin
+          l.el_spent_up <- l.el_spent_up + up;
+          record_escrow_op t (Serializability.E_local_commit { oid; node; delta = up })
+        end;
+        if down > 0 then begin
+          l.el_spent_down <- l.el_spent_down + down;
+          record_escrow_op t (Serializability.E_local_commit { oid; node; delta = -down })
+        end;
+        l.el_pending <- l.el_pending + nd;
+        l.el_commits <- l.el_commits + 1;
+        if l.el_commits >= p.Dsm.Escrow.reconcile_every then
+          escrow_send_reconcile t ~node oid l
+      end
+      else begin
+        l.el_q_up <- l.el_q_up + up;
+        l.el_q_down <- l.el_q_down + down
+      end)
+    local;
+  List.iter
+    (fun oid ->
+      let home = home_of t oid in
+      let resolve () =
+        Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+            let deliveries =
+              if commit then Gdo.Directory.escrow_commit t.gdo oid ~family:root
+              else Gdo.Directory.escrow_abort t.gdo oid ~family:root
+            in
+            record_escrow_op t
+              (if commit then Serializability.E_commit { oid; family = root }
+               else Serializability.E_abort { oid; family = root });
+            List.iter (deliver_deferred_grant t ~home) deliveries)
+      in
+      if home = node then resolve ()
+      else
+        send_exec t ~mtype:Dsm.Wire.Escrow_commit ~src:node ~dst:home
+          ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes
+          ~tag:(tag_of oid) resolve)
+    (List.sort Oid.compare fe_home)
 
 (* The commit point makes a family's dirty pages durable at the sites that
    hold them (see [durable]). *)
@@ -2959,11 +2948,13 @@ let make_durable t items =
    simulated time. *)
 let commit_root t root =
   let node = Txn_tree.node_of t.tree root in
+  let rs = txn_state t root in
+  let fam = rs.fam in
   let released_count =
     if not t.ship_enabled then begin
       let released = Local_locks.root_release t.locks.(node) ~root in
-      let released = split_lease_released t ~site:node ~family:root released in
-      let items = dirty_items t ~node ~root released in
+      let released = split_lease_released t ~site:node fam released in
+      let items = dirty_items t ~node ~root:rs released in
       let push_items =
         List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
       in
@@ -2981,7 +2972,7 @@ let commit_root t root =
          release per site; an object cached at more than one site (a
          directory grant plus shipped re-acquisitions) releases globally
          once, from the first site listing it. *)
-      let site_logs = (node, recovery_of t root) :: parked_of t root in
+      let site_logs = (node, rs.recovery) :: rs.parked in
       let by_page = Hashtbl.create 16 in
       List.iter
         (fun (site, log) ->
@@ -3002,22 +2993,15 @@ let commit_root t root =
           by_page []
         |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
       in
-      let seen = Oid.Table.create 16 in
+      (* Objects already released: one global release per object. *)
+      let seen = ref [] in
       let total = ref 0 in
       List.iter
         (fun site ->
           let released = Local_locks.root_release t.locks.(site) ~root in
-          let released = split_lease_released t ~site ~family:root released in
-          let released =
-            List.filter
-              (fun oid ->
-                if Oid.Table.mem seen oid then false
-                else begin
-                  Oid.Table.add seen oid ();
-                  true
-                end)
-              released
-          in
+          let released = split_lease_released t ~site fam released in
+          let released = List.filter (fun oid -> not (List.mem oid !seen)) released in
+          seen := released @ !seen;
           total := !total + List.length released;
           if released <> [] then begin
             let items = List.map (fun oid -> (oid, dirty_of oid)) released in
@@ -3028,33 +3012,31 @@ let commit_root t root =
             make_durable t items;
             gdo_release t ~node:site ~family:root items
           end)
-        (family_exec_sites t ~family:root ~node);
+        (family_exec_sites t fam ~node);
       (* Locks are held to root commit (rule 2), so every dirty object must
          have been among the released locks. *)
       Hashtbl.iter
         (fun _ (oid, _, _) ->
-          if not (Oid.Table.mem seen oid) then
+          if not (List.mem oid !seen) then
             failwith
               (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
         by_page;
       !total
     end
   in
-  if t.escrow_enabled then escrow_resolve_family t root ~node ~commit:true;
-  if t.lease_enabled then drop_lease_reads t root;
+  if t.escrow_enabled then escrow_resolve_family t fam ~node ~commit:true;
   if not t.cfg.Config.streaming then
     t.history <-
       {
         Serializability.root;
-        reads = Serializability.dedup_accesses (txn_state t root).reads;
-        writes = Serializability.dedup_accesses (txn_state t root).writes;
+        reads = Serializability.dedup_accesses rs.reads;
+        writes = Serializability.dedup_accesses rs.writes;
       }
       :: t.history;
   Txn_tree.set_status t.tree root Txn_tree.Committed;
   record_event t (fun () ->
       Dsm.Event.Root_commit { family = root; node; released = released_count });
-  Txn_id.Table.remove t.snapshots root;
-  drop_ship_state t root;
+  retire_family fam ~keep_ship:false;
   drop_txn_state t root;
   Dsm.Metrics.incr_roots_committed t.metrics;
   (* Streaming runs are fault-free, so nothing consults a completed
@@ -3067,31 +3049,21 @@ let abort_root t root =
   undo_txn t root;
   Sim.Engine.wait t.cfg.Config.local_lock_op_us;
   check_crashed t ~txn_root:root;
-  let seen = Oid.Table.create 16 in
+  let fam = (txn_state t root).fam in
+  let seen = ref [] in
   List.iter
     (fun site ->
       let released = Local_locks.root_release t.locks.(site) ~root in
-      let released = split_lease_released t ~site ~family:root released in
-      let released =
-        List.filter
-          (fun oid ->
-            if Oid.Table.mem seen oid then false
-            else begin
-              Oid.Table.add seen oid ();
-              true
-            end)
-          released
-      in
+      let released = split_lease_released t ~site fam released in
+      let released = List.filter (fun oid -> not (List.mem oid !seen)) released in
+      seen := released @ !seen;
       if released <> [] then
         gdo_release t ~node:site ~family:root (List.map (fun oid -> (oid, [])) released))
-    (family_exec_sites t ~family:root ~node);
-  if t.escrow_enabled then escrow_resolve_family t root ~node ~commit:false;
-  if t.lease_enabled then drop_lease_reads t root;
+    (family_exec_sites t fam ~node);
+  if t.escrow_enabled then escrow_resolve_family t fam ~node ~commit:false;
   Txn_tree.set_status t.tree root Txn_tree.Aborted;
   record_event t (fun () -> Dsm.Event.Root_abort { family = root; node });
-  Txn_id.Table.remove t.snapshots root;
-  if t.crash_enabled then Txn_id.Table.remove t.live_roots root;
-  drop_ship_state t root;
+  retire_family fam ~keep_ship:false;
   drop_txn_state t root;
   if t.cfg.Config.streaming then Txn_tree.forget_family t.tree root
 
@@ -3103,41 +3075,35 @@ let abort_root t root =
    uncommitted writes from the root's remaining logs first. *)
 let crashed_purge_root t root =
   let node = Txn_tree.node_of t.tree root in
+  let rs = txn_state t root in
   if t.ship_enabled then begin
-    if intact_site t ~family:root ~site:node then restore_logs t ~node [ recovery_of t root ];
+    if intact_site t rs.fam ~site:node then restore_logs t ~node [ rs.recovery ];
     List.iter
-      (fun (site, log) ->
-        if intact_site t ~family:root ~site then restore_logs t ~node:site [ log ])
-      (parked_of t root)
+      (fun (site, log) -> if intact_site t rs.fam ~site then restore_logs t ~node:site [ log ])
+      rs.parked
   end;
   List.iter
     (fun site -> ignore (Local_locks.root_release t.locks.(site) ~root))
-    (family_exec_sites t ~family:root ~node);
-  if t.lease_enabled then drop_lease_reads t root;
+    (family_exec_sites t rs.fam ~node);
   Txn_tree.set_status t.tree root Txn_tree.Aborted;
   record_event t (fun () -> Dsm.Event.Crash_abort { family = root; node });
   Dsm.Metrics.incr_crash_aborts t.metrics;
-  Txn_id.Table.remove t.snapshots root;
-  Txn_id.Table.remove t.live_roots root;
-  (* A doomed family's exec-site record must outlive the purge: the family
-     released nothing at the directory (this path sends no messages), so
-     [reclaim_dead_node] is what evicts its locks — and for a family rooted
-     on a live node its doom is only visible through the registered remote
-     exec sites. The record persists like the doom mark itself; committed
-     and normally-aborted families still drop theirs. *)
-  if not (is_doomed t root) then drop_ship_state t root;
+  (* A doomed family's exec sites outlive the purge (here and in [doomed]):
+     the family released nothing at the directory (this path sends no
+     messages), so [reclaim_dead_node] is what evicts its locks — and for a
+     family rooted on a live node its doom is only visible through the
+     registered remote exec sites. *)
+  retire_family rs.fam ~keep_ship:(is_doomed t root);
   drop_txn_state t root
 
 (* ------------------------------------------------------------------ *)
 (* Method execution.                                                   *)
 
-let log_read t txn ~oid ~page ~version =
-  let s = txn_state t txn in
-  s.reads <- { Serializability.oid; page; version } :: s.reads
+let log_read t (s : txn_state) ~oid ~page ~version =
+  if t.log_accesses then s.reads <- { Serializability.oid; page; version } :: s.reads
 
-let log_write t txn ~oid ~page ~version =
-  let s = txn_state t txn in
-  s.writes <- { Serializability.oid; page; version } :: s.writes
+let log_write t (s : txn_state) ~oid ~page ~version =
+  if t.log_accesses then s.writes <- { Serializability.oid; page; version } :: s.writes
 
 (* ------------------------------------------------------------------ *)
 (* Method-result cache (see Dsm.Method_cache). Only read-only leaf
@@ -3165,11 +3131,11 @@ let cache_versions (cm : Obj_class.compiled_method) (g : Gdo.Directory.grant) =
    transaction. Zero messages, zero page reads, zero statement execution.
    From the lease consult to the return there is no yield, so the install
    is atomic in simulated time. Returns true when served. *)
-let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
+let try_cache_serve t ~txn ~(s : txn_state) ~oid ~(cm : Obj_class.compiled_method) =
   if not (t.cache_enabled && cacheable_method cm) then false
   else begin
     let node = Txn_tree.node_of t.tree txn in
-    let family = Txn_tree.root_of t.tree txn in
+    let family = s.fam.f_id in
     (* The consult is charged like a local lock probe; a miss pays it on
        top of the normal acquisition (cache-off runs never reach here). *)
     Sim.Engine.wait t.cfg.Config.local_lock_op_us;
@@ -3186,8 +3152,8 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
             false
         | Some g -> (
             match
-              Dsm.Method_cache.find t.method_caches.(node) ~oid
-                ~meth:cm.Obj_class.ir.Method_ir.name ~versions:(cache_versions cm g)
+              Dsm.Method_cache.find t.method_caches.(node) ~oid ~meth:cm.Obj_class.index
+                ~versions:(cache_versions cm g)
             with
             | None ->
                 Dsm.Metrics.incr_cache_misses t.metrics;
@@ -3195,10 +3161,10 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
             | Some reads ->
                 Dsm.Metrics.incr_cache_hits t.metrics;
                 Local_locks.install_grant t.locks.(node) oid ~txn ~mode:Lock.Read;
-                set_snapshot t ~family ~oid g;
+                set_snapshot s.fam ~oid g;
                 Gdo.Lease.Cache.add_reader t.lease_caches.(node) oid ~family;
-                mark_lease_backed t ~family ~oid ~node;
-                List.iter (fun (page, version) -> log_read t txn ~oid ~page ~version) reads;
+                mark_lease_backed s.fam ~oid ~node;
+                List.iter (fun (page, version) -> log_read t s ~oid ~page ~version) reads;
                 record_event t (fun () ->
                     Dsm.Event.Cache_hit
                       { oid; family = txn; node; pages = List.length reads });
@@ -3212,7 +3178,7 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
    an entry stored across that boundary would marry stale reads to a fresh
    version vector. Under this guard a future hit at the same vector is
    indistinguishable from re-execution. *)
-let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
+let try_cache_fill t ~txn ~(s : txn_state) ~oid ~(cm : Obj_class.compiled_method) =
   if t.cache_enabled && cacheable_method cm then
     let node = Txn_tree.node_of t.tree txn in
     match lease_hit t ~node ~oid ~mode:Lock.Read with
@@ -3227,7 +3193,7 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
                (fun (a : Serializability.access) ->
                  if Oid.equal a.Serializability.oid oid then Some (a.page, a.version)
                  else None)
-               (txn_state t txn).reads)
+               s.reads)
         in
         if
           List.for_all
@@ -3235,8 +3201,8 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
             reads
         then
           if
-            Dsm.Method_cache.install t.method_caches.(node) ~oid
-              ~meth:cm.Obj_class.ir.Method_ir.name ~versions:(cache_versions cm g) ~reads
+            Dsm.Method_cache.install t.method_caches.(node) ~oid ~meth:cm.Obj_class.index
+              ~versions:(cache_versions cm g) ~reads
           then begin
             Dsm.Metrics.incr_cache_fills t.metrics;
             record_event t (fun () ->
@@ -3248,9 +3214,9 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
    method may invoke on, and pull their predicted pages, overlapping the
    latency with local execution. Failures are benign: the child simply
    acquires normally later. *)
-let spawn_prefetches t ~txn ~oid ~(cm : Obj_class.compiled_method) =
+let spawn_prefetches t ~txn ~(fam : family) ~oid ~(cm : Obj_class.compiled_method) =
   let node = Txn_tree.node_of t.tree txn in
-  let family = Txn_tree.root_of t.tree txn in
+  let family = fam.f_id in
   let targets =
     List.sort_uniq
       (fun (o1, _) (o2, _) -> Oid.compare o1 o2)
@@ -3274,7 +3240,7 @@ let spawn_prefetches t ~txn ~oid ~(cm : Obj_class.compiled_method) =
                  its join ivar, or the main fiber could never unwind. *)
               (try
                  ignore
-                   (acquire_object t ~txn ~oid:target ~mode
+                   (acquire_object t ~txn ~fam ~oid:target ~mode
                       ~predicted:target_cm.Obj_class.page_summary.Access_analysis.access_pages
                       ~optimistic:true)
                with Family_abort | Crashed_abort -> ());
@@ -3288,9 +3254,9 @@ let spawn_prefetches t ~txn ~oid ~(cm : Obj_class.compiled_method) =
    per level. *)
 let check_no_recursion t ~parent ~target =
   let rec climb txn depth =
-    (match Txn_id.Table.find_opt t.txns txn with
-    | Some s when Oid.equal s.txn_oid target -> raise (Recursion_rejected target)
-    | _ -> ());
+    (match txn_state t txn with
+    | s when Oid.equal s.txn_oid target -> raise (Recursion_rejected target)
+    | _ | (exception Not_found) -> ());
     match Txn_tree.parent t.tree txn with
     | Some p -> climb p (depth + 1)
     | None -> depth
@@ -3307,10 +3273,11 @@ let check_no_recursion t ~parent ~target =
    escrow on), so per-family tracking is exact. Returns false when escrow
    does not apply or the home refused — the caller falls back to the
    exclusive-lock path. *)
-let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
+let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~(fam : family) =
+  let family = fam.f_id in
   t.escrow_enabled
   && Method_ir.commutes cm.Obj_class.ir
-  && Oid.Table.mem t.escrow_oids oid
+  && Oid.Vec.get t.escrow_oids oid
   && begin
        let delta = Method_ir.escrow_delta cm.Obj_class.ir in
        (* The body's statements still cost CPU; they just run against the
@@ -3338,7 +3305,7 @@ let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
            Dsm.Metrics.incr_escrow_local_commits t.metrics;
            record_event t (fun () ->
                Dsm.Event.Escrow_local_commit { oid; family; node; delta });
-           let fe = fam_escrow_of t family in
+           let fe = fam in
            let up = max delta 0 and down = max (-delta) 0 in
            (match List.find_opt (fun (o, _, _, _) -> Oid.equal o oid) fe.fe_local with
            | Some (_, u, d, nd) ->
@@ -3348,7 +3315,7 @@ let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
            | None -> fe.fe_local <- (oid, up, down, delta) :: fe.fe_local);
            true
          end
-         else if escrow_request t ~node ~family ~oid ~delta then true
+         else if escrow_request t ~node ~fam ~oid ~delta then true
          else
            match backoffs with
            | [] -> false
@@ -3359,22 +3326,28 @@ let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
        attempt backoff_us
      end
 
-let rec run_body t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) =
+(* [s] is [txn]'s state, resolved once per invocation: the per-statement
+   handlers below look nothing up by id. *)
+let rec run_body t ~prng ~txn ~(s : txn_state) ~oid ~(cm : Obj_class.compiled_method) =
   let node = Txn_tree.node_of t.tree txn in
-  let family = Txn_tree.root_of t.tree txn in
-  if try_cache_serve t ~txn ~oid ~cm then ()
-  else if escrow_try t ~oid ~cm ~node ~family then ()
-  else run_body_exec t ~prng ~txn ~oid ~cm ~node ~family
+  if try_cache_serve t ~txn ~s ~oid ~cm then ()
+  else if escrow_try t ~oid ~cm ~node ~fam:s.fam then ()
+  else run_body_exec t ~prng ~txn ~s ~oid ~cm ~node
 
-and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
+and run_body_exec t ~prng ~txn ~(s : txn_state) ~oid ~(cm : Obj_class.compiled_method) ~node =
+  let fam = s.fam in
+  let family = fam.f_id in
   let mode = if cm.Obj_class.summary.Access_analysis.updates then Lock.Write else Lock.Read in
-  let (_ : bool) =
-    acquire_object t ~txn ~oid ~mode
-      ~predicted:cm.Obj_class.page_summary.Access_analysis.access_pages ~optimistic:false
-  in
+  let predicted = cm.Obj_class.page_summary.Access_analysis.access_pages in
+  let (_ : bool) = acquire_object t ~txn ~fam ~oid ~mode ~predicted ~optimistic:false in
   let prefetch_joins =
-    if t.cfg.Config.prefetch then spawn_prefetches t ~txn ~oid ~cm else []
+    if t.cfg.Config.prefetch then spawn_prefetches t ~txn ~fam ~oid ~cm else []
   in
+  (* The grant snapshot the body's accesses are checked against: only this
+     family's acquisitions of [oid] set it, and none happens while the body
+     runs (the lock is held, and no invocation chain revisits [oid]). *)
+  let g = snapshot fam oid in
+  let store = t.stores.(node) in
   let layout = Catalog.layout t.catalog oid in
   let handler =
     {
@@ -3383,21 +3356,20 @@ and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~fam
           exec_statement t ~node;
           check_crashed t ~txn_root:family;
           let pages = Layout.pages_of_attr layout a in
-          ensure_pages t ~family ~node ~oid
-            ~predicted:cm.Obj_class.page_summary.Access_analysis.access_pages pages;
+          ensure_pages t ~fam ~g ~node ~oid ~predicted pages;
           check_crashed t ~txn_root:family;
-          List.iter
-            (fun page ->
-              let version = Dsm.Page_store.version t.stores.(node) oid ~page in
-              log_read t txn ~oid ~page ~version)
-            pages);
+          if t.log_accesses then
+            List.iter
+              (fun page ->
+                let version = Dsm.Page_store.version store oid ~page in
+                log_read t s ~oid ~page ~version)
+              pages);
       on_write =
         (fun a ->
           exec_statement t ~node;
           check_crashed t ~txn_root:family;
           let pages = Layout.pages_of_attr layout a in
-          ensure_pages t ~family ~node ~oid
-            ~predicted:cm.Obj_class.page_summary.Access_analysis.access_pages pages;
+          ensure_pages t ~fam ~g ~node ~oid ~predicted pages;
           (* The store may have been wiped to its durable versions while
              this fiber slept: writing now would corrupt restored state. *)
           check_crashed t ~txn_root:family;
@@ -3405,9 +3377,9 @@ and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~fam
             (fun page ->
               t.next_version <- t.next_version + 1;
               let v = t.next_version in
-              let prev = Dsm.Page_store.write t.stores.(node) oid ~page ~new_version:v in
-              Recovery.note_write (recovery_of t txn) ~oid ~page ~pre_image:prev;
-              log_write t txn ~oid ~page ~version:v)
+              let prev = Dsm.Page_store.write store oid ~page ~new_version:v in
+              Recovery.note_write s.recovery ~oid ~page ~pre_image:prev;
+              log_write t s ~oid ~page ~version:v)
             pages);
       on_invoke =
         (fun slot meth ->
@@ -3416,7 +3388,7 @@ and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~fam
           let target = Catalog.resolve_slot t.catalog oid slot in
           if t.cfg.Config.allow_recursive_catalogs then
             check_no_recursion t ~parent:txn ~target;
-          invoke_child t ~prng ~parent:txn ~oid:target ~meth);
+          invoke_child t ~prng ~parent:txn ~fam ~oid:target ~meth);
       choose = (fun p -> Sim.Prng.bernoulli prng p);
     }
   in
@@ -3426,36 +3398,34 @@ and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~fam
      join ();
      raise e);
   join ();
-  try_cache_fill t ~txn ~oid ~cm
+  try_cache_fill t ~txn ~s ~oid ~cm
 
 (* Method dispatch. With shipping off this is exactly the pre-shipping
    dispatch: run the child's attempts at the parent's node. With shipping
    on, the cost model (or the family's established pin for the object)
    chooses the execution site; a remote site turns the dispatch into a
    [Ship_invoke]/[Ship_reply] round trip. *)
-and invoke_child t ~prng ~parent ~oid ~meth =
+and invoke_child t ~prng ~parent ~(fam : family) ~oid ~meth =
+  let cm = Catalog.find_method t.catalog oid meth in
   if not t.ship_enabled then
-    run_child_attempts t ~prng ~parent ~oid ~meth ~site:(Txn_tree.node_of t.tree parent)
+    run_child_attempts t ~prng ~parent ~oid ~cm ~site:(Txn_tree.node_of t.tree parent)
   else begin
     let pnode = Txn_tree.node_of t.tree parent in
-    let family = Txn_tree.root_of t.tree parent in
-    check_crashed t ~txn_root:family;
-    let cm = Catalog.find_method t.catalog oid meth in
-    let site = decide_exec_site t ~parent ~oid ~cm in
-    if site = pnode then run_child_attempts t ~prng ~parent ~oid ~meth ~site
-    else ship_invocation t ~prng ~parent ~oid ~meth ~family ~site
+    check_crashed t ~txn_root:fam.f_id;
+    let site = decide_exec_site t ~parent ~fam ~oid ~cm in
+    if site = pnode then run_child_attempts t ~prng ~parent ~oid ~cm ~site
+    else ship_invocation t ~prng ~parent ~fam ~oid ~cm ~site
   end
 
 (* Run a sub-transaction at [site], retrying injected failures in place. *)
-and run_child_attempts t ~prng ~parent ~oid ~meth ~site =
-  let cm = Catalog.find_method t.catalog oid meth in
+and run_child_attempts t ~prng ~parent ~oid ~(cm : Obj_class.compiled_method) ~site =
   let family = Txn_tree.root_of t.tree parent in
   let rec attempt k =
     let txn = Txn_tree.create_child ~node:site t.tree ~parent in
-    init_txn_state t txn ~oid;
+    let s = init_txn_state t txn ~oid in
     let ok =
       try
-        run_body t ~prng ~txn ~oid ~cm;
+        run_body t ~prng ~txn ~s ~oid ~cm;
         true
       with
       | Family_abort -> (
@@ -3502,11 +3472,11 @@ and run_child_attempts t ~prng ~parent ~oid ~meth ~site =
    the GDO page map, then pins the verdict: every later invocation of the
    same object in this family joins it at the pinned site, so an object's
    locks and uncommitted pages live at one site per family. *)
-and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
+and decide_exec_site t ~parent ~(fam : family) ~oid ~(cm : Obj_class.compiled_method) =
   let pnode = Txn_tree.node_of t.tree parent in
-  let family = Txn_tree.root_of t.tree parent in
-  let st = ship_state_of t ~family ~node:(Txn_tree.node_of t.tree family) in
-  match Oid.Table.find_opt st.pins oid with
+  let family = fam.f_id in
+  start_exec_sites t fam ~node:(Txn_tree.node_of t.tree family);
+  match List.assoc_opt oid fam.pins with
   | Some site ->
       if site <> pnode then Dsm.Metrics.incr_ships_forced t.metrics;
       site
@@ -3542,7 +3512,7 @@ and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
       record_event t (fun () ->
           Dsm.Event.Ship_decision
             { oid; family; src = pnode; dst = site; shipped = site <> pnode; saved_bytes });
-      Oid.Table.replace st.pins oid site;
+      fam.pins <- (oid, site) :: fam.pins;
       site
 
 (* Ship the invocation: one [Ship_invoke] to [site], the child's attempts
@@ -3553,7 +3523,8 @@ and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
    wait, and the invoker aborts the family — [crash_enter] dooms families
    with registered remote execution sites, so the usual crash-retry
    machinery applies. *)
-and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
+and ship_invocation t ~prng ~parent ~(fam : family) ~oid ~cm ~site =
+  let family = fam.f_id in
   let params =
     match t.ship_params with Some p -> p | None -> assert false (* ship_enabled *)
   in
@@ -3574,12 +3545,12 @@ and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
       if t.crash_enabled && t.crashed.(site) then ()
       else if is_doomed t family || family_defunct t family then ()
       else begin
-        register_ship_site t ~family ~site;
+        register_ship_site t fam ~site;
         record_event t (fun () -> Dsm.Event.Ship_exec { oid; family; node = site });
         Sim.Engine.spawn t.engine ~name:"ship" (fun () ->
             let outcome =
               try
-                run_child_attempts t ~prng ~parent ~oid ~meth ~site;
+                run_child_attempts t ~prng ~parent ~oid ~cm ~site;
                 Ship_ok
               with
               | Family_abort -> Ship_aborted
@@ -3609,11 +3580,12 @@ let submit t ~at ~node ~oid ~meth ~seed =
   if node < 0 || node >= t.cfg.Config.node_count then
     invalid_arg "Runtime.submit: node out of range";
   let cm = Catalog.find_method t.catalog oid meth in
+  let meth_name = cm.Obj_class.ir.Method_ir.name in
   t.outstanding <- t.outstanding + 1;
   (* Read only when a run stalls; built without Format, which would cost
      more than the rest of a short root's bookkeeping. *)
   let name =
-    "root:O" ^ string_of_int (Oid.to_int oid) ^ "." ^ meth ^ "@" ^ string_of_int node
+    "root:O" ^ string_of_int (Oid.to_int oid) ^ "." ^ meth_name ^ "@" ^ string_of_int node
   in
   Sim.Engine.schedule t.engine ~delay:at (fun () ->
       Sim.Engine.spawn t.engine ~name (fun () ->
@@ -3644,22 +3616,20 @@ let submit t ~at ~node ~oid ~meth ~seed =
             in
             wait_ready ();
             let root = Txn_tree.create_root t.tree ~node in
-            init_txn_state t root ~oid;
-            if t.crash_enabled then Txn_id.Table.replace t.live_roots root ();
+            let s = init_txn_state t root ~oid in
             record_event t (fun () ->
                 Dsm.Event.Root_begin { family = root; node; oid; attempt = k + 1 });
             let ok =
               try
-                run_body t ~prng ~txn:root ~oid ~cm;
+                run_body t ~prng ~txn:root ~s ~oid ~cm;
                 (* TTL doom: a lease-backed read whose lease has expired or
                    been superseded is no longer protected against writers —
                    the family must retry rather than commit it. *)
-                if validate_lease_reads t ~family:root then begin
+                if validate_lease_reads t s.fam then begin
                   (* Commit point: after this check the family is no longer
                      doomable and [commit_root] runs without yielding. *)
                   Sim.Engine.wait t.cfg.Config.local_lock_op_us;
                   check_crashed t ~txn_root:root;
-                  if t.crash_enabled then Txn_id.Table.remove t.live_roots root;
                   commit_root t root;
                   `Committed
                 end
@@ -3727,7 +3697,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
             t.results <-
               {
                 oid;
-                meth;
+                meth = meth_name;
                 node;
                 submitted_at;
                 completed_at = Sim.Engine.now t.engine;
@@ -3743,9 +3713,9 @@ let submit t ~at ~node ~oid ~meth ~seed =
 let escrow_flush t =
   Array.iteri
     (fun node ledgers ->
-      Itbl.fold (fun key l acc -> (key, l) :: acc) ledgers []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.iter (fun (key, l) -> escrow_send_reconcile t ~node (Oid.of_int key) l))
+      Oid.Vec.iter
+        (fun oid l -> match l with Some l -> escrow_send_reconcile t ~node oid l | None -> ())
+        ledgers)
     t.escrow_ledgers
 
 let run t =
@@ -3758,6 +3728,12 @@ let run t =
   t.ran <- true;
   assert (t.outstanding = 0);
   Dsm.Metrics.set_completion_time_us t.metrics (Sim.Engine.now t.engine)
+
+let slab_capacity t =
+  Array.fold_left
+    (fun acc l -> max acc (Local_locks.family_capacity l))
+    (max (Txn_id.Slab.capacity t.txns) (Txn_tree.capacity t.tree))
+    t.locks
 
 let results t = List.rev t.results
 let committed_history t = List.rev t.history

@@ -31,7 +31,7 @@ type root_outcome =
 
 type root_result = {
   oid : Oid.t;
-  meth : string;
+  meth : string;  (** the method's name *)
   node : int;
   submitted_at : float;
   completed_at : float;
@@ -71,13 +71,20 @@ val method_cache : t -> node:int -> Dsm.Method_cache.t
     forever — unless [Config.method_cache] enables a policy. For tests and
     diagnostics. *)
 
-val submit : t -> at:float -> node:int -> oid:Oid.t -> meth:string -> seed:int -> unit
-(** Schedule a root invocation of [meth] on [oid] at node [node] and
+val submit : t -> at:float -> node:int -> oid:Oid.t -> meth:int -> seed:int -> unit
+(** Schedule a root invocation of method [meth] (an index into the object's
+    class, see {!Objmodel.Catalog.method_index}) on [oid] at node [node] and
     simulated time [at]. [seed] makes the root's private random stream
     (branch outcomes and failure injection), so a root's execution path does
     not depend on cross-family interleaving.
     @raise Not_found if the object or method does not exist.
     @raise Invalid_argument after {!run} has completed. *)
+
+val slab_capacity : t -> int
+(** The largest id ring ({!Txn.Txn_id.Slab}) holding per-transaction and
+    per-family state: the runtime's own, the transaction tree's and every
+    node's local lock table's. Rings grow only with the span of live ids, so
+    in a streaming run this stays flat as the run gets longer. *)
 
 val run : t -> unit
 (** Drive the simulation until all submitted roots complete; records the

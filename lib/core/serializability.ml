@@ -149,16 +149,16 @@ and node_state = {
 let check_escrow ~lower ~upper ~initial ~ops =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let objects : obj_state Oid.Table.t = Oid.Table.create 16 in
+  let objects : obj_state option Oid.Vec.t = Oid.Vec.create ~default:None in
   let state oid =
-    match Oid.Table.find_opt objects oid with
+    match Oid.Vec.get objects oid with
     | Some s -> s
     | None ->
         let s =
           { value = initial; res = Txn_id.Table.create 16; worst_up = 0; worst_down = 0;
             unreconciled = 0; committed = 0; nodes = Hashtbl.create 4 }
         in
-        Oid.Table.add objects oid s;
+        Oid.Vec.set objects oid (Some s);
         s
   in
   let node_state s n =
@@ -288,8 +288,7 @@ let check_escrow ~lower ~upper ~initial ~ops =
      Objects ascending, then unresolved reservations latest reserve first,
      then nodes ascending. *)
   let by_oid =
-    Oid.Table.fold (fun oid s acc -> (oid, s) :: acc) objects []
-    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+    Oid.Vec.fold (fun oid s acc -> match s with Some s -> (oid, s) :: acc | None -> acc) objects []
   in
   List.iter
     (fun (oid, s) ->

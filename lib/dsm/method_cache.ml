@@ -52,15 +52,22 @@ type entry = {
   mutable last_used : int;  (* LRU clock tick of the latest find/install *)
 }
 
-(* Keys are (oid as int, method name): the version vector lives in the entry
-   and is compared on lookup, so a stale entry is dropped lazily the moment
-   the object's pages have advanced past it. *)
-module Key = struct
-  type t = int * string
+(* Keys pack (oid, method index) into one int, the method in the low
+   [meth_bits]: the version vector lives in the entry and is compared on
+   lookup, so a stale entry is dropped lazily the moment the object's pages
+   have advanced past it. *)
+let meth_bits = 16
 
-  let equal (a1, b1) (a2, b2) = Int.equal a1 a2 && String.equal b1 b2
+module Key = struct
+  type t = int
+
+  let equal = Int.equal
   let hash = Hashtbl.hash
 end
+
+let key oid meth =
+  if meth < 0 || meth >= 1 lsl meth_bits then invalid_arg "Method_cache: method index out of range";
+  (Oid.to_int oid lsl meth_bits) lor meth
 
 module Tbl = Hashtbl.Make (Key)
 
@@ -83,7 +90,7 @@ let entry_count t = Tbl.length t.entries
 let find t ~oid ~meth ~versions =
   if not (enabled t) then None
   else
-    let key = (Oid.to_int oid, meth) in
+    let key = key oid meth in
     match Tbl.find_opt t.entries key with
     | None -> None
     | Some e ->
@@ -118,7 +125,7 @@ let evict_lru t =
 let install t ~oid ~meth ~versions ~reads =
   if not (enabled t) then false
   else
-    let key = (Oid.to_int oid, meth) in
+    let key = key oid meth in
     match Tbl.find_opt t.entries key with
     | Some e
       when Array.length e.versions = Array.length versions
@@ -141,7 +148,7 @@ let install t ~oid ~meth ~versions ~reads =
 let invalidate_object t oid =
   let o = Oid.to_int oid in
   let doomed =
-    Tbl.fold (fun ((ko, _) as key) _ acc -> if ko = o then key :: acc else acc) t.entries []
+    Tbl.fold (fun key _ acc -> if key lsr meth_bits = o then key :: acc else acc) t.entries []
   in
   List.iter (Tbl.remove t.entries) doomed;
   List.length doomed

@@ -62,8 +62,9 @@ val create : policy -> t
 val enabled : t -> bool
 
 val find :
-  t -> oid:Objmodel.Oid.t -> meth:string -> versions:int array -> (int * int) list option
-(** The cached read log [(page, version)] of [meth] on [oid], when an entry
+  t -> oid:Objmodel.Oid.t -> meth:int -> versions:int array -> (int * int) list option
+(** The cached read log [(page, version)] of method [meth] (its index in the
+    object's class, below 2{^16}) on [oid], when an entry
     exists whose version vector equals [versions] (the current versions of
     the method's predicted read-set pages, in page order). A key hit at
     {e different} versions drops the stale entry and misses — the lazy
@@ -73,7 +74,7 @@ val find :
 val install :
   t ->
   oid:Objmodel.Oid.t ->
-  meth:string ->
+  meth:int ->
   versions:int array ->
   reads:(int * int) list ->
   bool

@@ -66,7 +66,10 @@ type totals = {
 }
 
 type t = {
-  objects : per_object Oid.Table.t;
+  (* Indexed by object id; traffic tagged [untagged] has its own slot,
+     since an array indexed up to that sentinel would take gigabytes. *)
+  objects : per_object option Oid.Vec.t;
+  mutable untagged_entry : per_object option;
   mutable roots_committed : int;
   mutable roots_aborted : int;
   mutable deadlock_aborts : int;
@@ -145,7 +148,8 @@ let untagged = Oid.of_int 0x3FFFFFFF
 
 let create () =
   {
-    objects = Oid.Table.create 128;
+    objects = Oid.Vec.create ~default:None;
+    untagged_entry = None;
     roots_committed = 0;
     roots_aborted = 0;
     deadlock_aborts = 0;
@@ -220,13 +224,23 @@ let zero () =
     acquisitions = 0;
   }
 
+let find t oid = if Oid.equal oid untagged then t.untagged_entry else Oid.Vec.get t.objects oid
+
 let entry t oid =
-  match Oid.Table.find_opt t.objects oid with
+  match find t oid with
   | Some e -> e
   | None ->
       let e = zero () in
-      Oid.Table.add t.objects oid e;
+      if Oid.equal oid untagged then t.untagged_entry <- Some e
+      else Oid.Vec.set t.objects oid (Some e);
       e
+
+(* Every per-object entry, untagged last (it sorts after every real id). *)
+let fold_entries f t init =
+  let acc =
+    Oid.Vec.fold (fun _ e acc -> match e with Some e -> f e acc | None -> acc) t.objects init
+  in
+  match t.untagged_entry with Some e -> f e acc | None -> acc
 
 let record_message t ~oid ~kind ~bytes =
   let rec bucket i = if bytes <= bucket_bounds.(i) then i else bucket (i + 1) in
@@ -342,7 +356,7 @@ let home_lock_ops t =
 
 let totals t =
   let demand =
-    Oid.Table.fold (fun _ (e : per_object) acc -> acc + e.demand_fetches) t.objects 0
+    fold_entries (fun (e : per_object) acc -> acc + e.demand_fetches) t 0
   in
   {
     roots_committed = t.roots_committed;
@@ -399,17 +413,19 @@ let totals t =
     escrow_quota_units = t.escrow_quota_units;
   }
 
-let per_object t oid =
-  match Oid.Table.find_opt t.objects oid with Some e -> e | None -> zero ()
+let per_object t oid = match find t oid with Some e -> e | None -> zero ()
 
 let objects t =
-  Oid.Table.fold (fun oid _ acc -> oid :: acc) t.objects [] |> List.sort Oid.compare
+  let real =
+    Oid.Vec.fold
+      (fun o e acc -> match e with Some _ -> o :: acc | None -> acc)
+      t.objects []
+  in
+  if Option.is_none t.untagged_entry then real else real @ [ untagged ]
 
-let total_bytes t =
-  Oid.Table.fold (fun _ e acc -> acc + e.control_bytes + e.data_bytes) t.objects 0
-
-let total_data_bytes t = Oid.Table.fold (fun _ e acc -> acc + e.data_bytes) t.objects 0
-let total_messages t = Oid.Table.fold (fun _ e acc -> acc + e.messages) t.objects 0
+let total_bytes t = fold_entries (fun e acc -> acc + e.control_bytes + e.data_bytes) t 0
+let total_data_bytes t = fold_entries (fun e acc -> acc + e.data_bytes) t 0
+let total_messages t = fold_entries (fun e acc -> acc + e.messages) t 0
 
 let time_of ~messages ~bytes ~(link : Sim.Network.link) =
   (float_of_int messages *. link.software_cost_us)
@@ -437,9 +453,7 @@ let object_time_us_am t oid ~link ~control_software_cost_us =
    objects — without a float sum whose rounding would follow table order. *)
 let total_time_us_am t ~link ~control_software_cost_us =
   let control_messages, data_messages =
-    Oid.Table.fold
-      (fun _ e (c, d) -> (c + e.control_messages, d + e.data_messages))
-      t.objects (0, 0)
+    fold_entries (fun e (c, d) -> (c + e.control_messages, d + e.data_messages)) t (0, 0)
   in
   time_of_am ~control_messages ~data_messages ~bytes:(total_bytes t) ~link
     ~control_software_cost_us

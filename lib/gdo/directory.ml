@@ -52,14 +52,14 @@ type entry = {
 }
 
 type t = {
-  entries : entry Oid.Table.t;
+  entries : entry option Oid.Vec.t;  (* indexed by object id *)
   (* family -> objects it is currently queued on. Usually a singleton (a
      family executes sequentially), but optimistic pre-acquisition can have a
      family waiting on several locks at once. *)
   mutable waiting_on : Oid.Set.t Txn_id.Map.t;
 }
 
-let create () = { entries = Oid.Table.create 128; waiting_on = Txn_id.Map.empty }
+let create () = { entries = Oid.Vec.create ~default:None; waiting_on = Txn_id.Map.empty }
 
 let waits_of t f =
   match Txn_id.Map.find_opt f t.waiting_on with Some s -> s | None -> Oid.Set.empty
@@ -82,7 +82,7 @@ let note_cached_entry e ~node =
   Bytes.set_uint8 e.copyset byte (Bytes.get_uint8 e.copyset byte lor (1 lsl (node land 7)))
 
 let register_object t oid ~pages ~initial_node =
-  if Oid.Table.mem t.entries oid then
+  if Oid.Vec.get t.entries oid <> None then
     invalid_arg (Format.asprintf "Directory.register_object: duplicate %a" Oid.pp oid);
   if pages <= 0 then invalid_arg "Directory.register_object: pages must be positive";
   let e =
@@ -98,12 +98,15 @@ let register_object t oid ~pages ~initial_node =
     }
   in
   note_cached_entry e ~node:initial_node;
-  Oid.Table.add t.entries oid e
+  Oid.Vec.set t.entries oid (Some e)
 
 let get t oid =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | Some e -> e
   | None -> invalid_arg (Format.asprintf "Directory: unregistered object %a" Oid.pp oid)
+
+let entries_ascending t =
+  Oid.Vec.fold (fun _ e acc -> match e with Some e -> e :: acc | None -> acc) t.entries []
 
 let make_grant e mode =
   {
@@ -317,10 +320,7 @@ let release t oid ~family ~dirty =
    so queued survivors receive their deferred grants. Sorted by oid for a
    deterministic delivery order. *)
 let evict_families t ~dead =
-  let entries =
-    Oid.Table.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> Oid.compare a.oid b.oid)
-  in
+  let entries = entries_ascending t in
   let evicted = ref Txn_id.Set.empty in
   let deliveries = ref [] in
   List.iter
@@ -357,10 +357,7 @@ let evict_families t ~dead =
    durable at their owner, so the rejoining node serves them again after
    restart. Returns the number of entries repointed. *)
 let repoint_pages t ~dead_node ~find_copy =
-  let entries =
-    Oid.Table.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> Oid.compare a.oid b.oid)
-  in
+  let entries = entries_ascending t in
   let repointed = ref 0 in
   List.iter
     (fun e ->
@@ -405,7 +402,7 @@ let copyset t oid =
   done;
   !nodes
 
-let object_count t = Oid.Table.length t.entries
+let object_count t = List.length (entries_ascending t)
 
 (* --- escrow API -------------------------------------------------------- *)
 
@@ -590,10 +587,7 @@ let escrow_yield t oid ~node ~epoch ~delta ~used_up ~used_down ~carried =
    the split-brain auditor's per-object half. Returns human-readable
    violation descriptions, [] when clean. *)
 let audit t =
-  let entries =
-    Oid.Table.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> Oid.compare a.oid b.oid)
-  in
+  let entries = entries_ascending t in
   List.concat_map
     (fun e ->
       let v = ref [] in
@@ -655,10 +649,7 @@ let audit t =
 
 let dump ?partition_info t =
   let buf = Buffer.create 256 in
-  let entries =
-    Oid.Table.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> Oid.compare a.oid b.oid)
-  in
+  let entries = entries_ascending t in
   let esc_active e =
     match e.escrow with
     | None -> false

@@ -68,18 +68,18 @@ type entry = {
   mutable writes : int;
 }
 
-type t = { policy : policy; entries : entry Oid.Table.t; mutable next_token : int }
+type t = { policy : policy; entries : entry option Oid.Vec.t; mutable next_token : int }
 
-let create policy = { policy; entries = Oid.Table.create 64; next_token = 0 }
+let create policy = { policy; entries = Oid.Vec.create ~default:None; next_token = 0 }
 
 let enabled t = policy_enabled t.policy
 
 let entry t oid =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | Some e -> e
   | None ->
       let e = { grants = []; epoch = 0; recall = None; reads = 0; writes = 0 } in
-      Oid.Table.add t.entries oid e;
+      Oid.Vec.set t.entries oid (Some e);
       e
 
 let note_read t oid =
@@ -119,7 +119,7 @@ let lease_for_grant t oid ~node ~now ~writer_queued =
     end
 
 let outstanding t oid ~now =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> []
   | Some e ->
       prune e ~now;
@@ -132,17 +132,17 @@ let outstanding t oid ~now =
    still be serving leased reads of the old regime. [now] when nothing is
    outstanding, so lease-off runs fence to "immediately". *)
 let fence_deadline t oid ~now =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> now
   | Some e ->
       prune e ~now;
       List.fold_left (fun acc (_, exp) -> Float.max acc exp) now e.grants
 
 let recall_in_progress t oid =
-  match Oid.Table.find_opt t.entries oid with None -> false | Some e -> e.recall <> None
+  match Oid.Vec.get t.entries oid with None -> false | Some e -> e.recall <> None
 
 let excluded_family t oid =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> None
   | Some e -> ( match e.recall with None -> None | Some r -> r.r_excluded)
 
@@ -166,7 +166,7 @@ let begin_recall t oid ~now ~excluded =
           `Recall { ro_nodes = nodes; ro_epoch = e.epoch; ro_deadline = deadline; ro_token = token })
 
 let note_yield t oid ~node ~epoch =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> `Stale
   | Some e -> (
       match e.recall with
@@ -182,12 +182,12 @@ let note_yield t oid ~node ~epoch =
       | Some _ | None -> `Stale)
 
 let recall_token t oid =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> None
   | Some e -> ( match e.recall with None -> None | Some r -> Some r.r_token)
 
 let force_clear t oid ~token =
-  match Oid.Table.find_opt t.entries oid with
+  match Oid.Vec.get t.entries oid with
   | None -> false
   | Some e -> (
       match e.recall with
@@ -203,29 +203,32 @@ let force_clear t oid ~token =
    writes for the returned objects, exactly as after a final yield. *)
 let evict_node t ~node =
   let cleared = ref [] in
-  (* Each step edits only its own entry, and the cleared objects are
-     returned sorted, so table order cannot escape. *)
-  Oid.Table.iter
+  (* Each step edits only its own entry, and the objects are visited in
+     ascending order. *)
+  Oid.Vec.iter
     (fun oid e ->
-      e.grants <- List.remove_assoc node e.grants;
-      match e.recall with
-      | Some r when List.mem node r.r_awaiting ->
-          r.r_awaiting <- List.filter (fun n -> n <> node) r.r_awaiting;
-          if r.r_awaiting = [] then begin
-            e.recall <- None;
-            e.grants <- [];
-            cleared := oid :: !cleared
-          end
-      | Some _ | None -> ())
+      match e with
+      | None -> ()
+      | Some e -> (
+          e.grants <- List.remove_assoc node e.grants;
+          match e.recall with
+          | Some r when List.mem node r.r_awaiting ->
+              r.r_awaiting <- List.filter (fun n -> n <> node) r.r_awaiting;
+              if r.r_awaiting = [] then begin
+                e.recall <- None;
+                e.grants <- [];
+                cleared := oid :: !cleared
+              end
+          | Some _ | None -> ()))
     t.entries;
-  List.sort Oid.compare !cleared
+  List.rev !cleared
 
 let note_write_granted t oid =
   if enabled t then
     let e = entry t oid in
     e.epoch <- e.epoch + 1
 
-let epoch t oid = match Oid.Table.find_opt t.entries oid with None -> 0 | Some e -> e.epoch
+let epoch t oid = match Oid.Vec.get t.entries oid with None -> 0 | Some e -> e.epoch
 
 (* ------------------------------------------------------------------ *)
 (* Node side.                                                          *)
@@ -242,11 +245,11 @@ module Cache = struct
   }
 
   type cache = {
-    c_entries : centry Oid.Table.t;
+    c_entries : centry option Oid.Vec.t;
     (* Highest epoch a recall was seen for, per object; survives entry drops
        so a reordered or retransmitted grant can never resurrect a recalled
        lease (the epoch fence). *)
-    recall_floor : int Oid.Table.t;
+    recall_floor : int Oid.Vec.t;  (* -1: no recall seen *)
     (* Invalidation subscriber (the runtime's method-result cache): called
        with the object whenever this cache learns its leased view is over —
        recall delivery, expiry GC, epoch-superseding re-install. *)
@@ -255,8 +258,8 @@ module Cache = struct
 
   let create () =
     {
-      c_entries = Oid.Table.create 32;
-      recall_floor = Oid.Table.create 32;
+      c_entries = Oid.Vec.create ~default:None;
+      recall_floor = Oid.Vec.create ~default:(-1);
       on_invalidate = None;
     }
 
@@ -264,17 +267,16 @@ module Cache = struct
 
   let invalidated c oid = match c.on_invalidate with None -> () | Some f -> f oid
 
-  let floor_of c oid =
-    match Oid.Table.find_opt c.recall_floor oid with Some e -> e | None -> -1
+  let floor_of c oid = Oid.Vec.get c.recall_floor oid
 
   let recall_epoch = floor_of
 
   let install c oid ~grant ~expires ~epoch =
     if epoch > floor_of c oid then
-      match Oid.Table.find_opt c.c_entries oid with
+      match Oid.Vec.get c.c_entries oid with
       | None ->
-          Oid.Table.add c.c_entries oid
-            {
+          Oid.Vec.set c.c_entries oid
+            (Some {
               grant;
               expires;
               c_epoch = epoch;
@@ -282,7 +284,7 @@ module Cache = struct
               recalled = false;
               yielded = false;
               c_excluded = None;
-            }
+            })
       | Some e ->
           if epoch > e.c_epoch then begin
             (* Superseding lease from a later epoch: existing readers keep
@@ -304,12 +306,12 @@ module Cache = struct
           end
 
   let hit c oid ~now =
-    match Oid.Table.find_opt c.c_entries oid with
+    match Oid.Vec.get c.c_entries oid with
     | Some e when (not e.recalled) && now < e.expires -> Some e.grant
     | Some _ | None -> None
 
   let add_reader c oid ~family =
-    match Oid.Table.find_opt c.c_entries oid with
+    match Oid.Vec.get c.c_entries oid with
     | None -> invalid_arg "Lease.Cache.add_reader: no cached lease"
     | Some e ->
         if not (List.mem_assoc family e.readers) then
@@ -321,10 +323,10 @@ module Cache = struct
         match e.c_excluded with Some x -> not (Txn_id.equal f x) | None -> true)
       e.readers
 
-  let drop c oid = Oid.Table.remove c.c_entries oid
+  let drop c oid = Oid.Vec.set c.c_entries oid None
 
   let remove_reader c oid ~family =
-    match Oid.Table.find_opt c.c_entries oid with
+    match Oid.Vec.get c.c_entries oid with
     | None -> `Nothing
     | Some e ->
         e.readers <- List.filter (fun (f, _) -> not (Txn_id.equal f family)) e.readers;
@@ -343,8 +345,8 @@ module Cache = struct
        the leased view must go, whether or not a lease entry survives here.
        Fired on every delivery; retransmitted recalls find nothing to drop. *)
     invalidated c oid;
-    if epoch > floor_of c oid then Oid.Table.replace c.recall_floor oid epoch;
-    match Oid.Table.find_opt c.c_entries oid with
+    if epoch > floor_of c oid then Oid.Vec.set c.recall_floor oid epoch;
+    match Oid.Vec.get c.c_entries oid with
     | None -> `Yield
     | Some e ->
         if e.c_epoch > epoch then
@@ -364,7 +366,7 @@ module Cache = struct
         end
 
   let valid c oid ~family ~now =
-    match Oid.Table.find_opt c.c_entries oid with
+    match Oid.Vec.get c.c_entries oid with
     | None -> false
     | Some e -> (
         match List.assoc_opt family e.readers with
@@ -372,20 +374,23 @@ module Cache = struct
         | None -> false)
 
   let reader_count c oid =
-    match Oid.Table.find_opt c.c_entries oid with
+    match Oid.Vec.get c.c_entries oid with
     | None -> 0
     | Some e -> List.length e.readers
 
-  let entry_count c = Oid.Table.length c.c_entries
+  let entry_count c =
+    Oid.Vec.fold (fun _ e n -> if Option.is_none e then n else n + 1) c.c_entries 0
 
   let drop_expired c ~now =
     (* Ascending oid, not table order: the invalidation subscriber sees the
        drops in this order. *)
     let dead =
-      Oid.Table.fold
-        (fun oid e acc -> if e.readers = [] && now >= e.expires then oid :: acc else acc)
+      Oid.Vec.fold
+        (fun oid e acc ->
+          match e with
+          | Some e when e.readers = [] && now >= e.expires -> oid :: acc
+          | Some _ | None -> acc)
         c.c_entries []
-      |> List.sort Oid.compare
     in
     List.iter
       (fun oid ->

@@ -1,7 +1,7 @@
 type summary = {
   read_attrs : Attribute.id list;
   write_attrs : Attribute.id list;
-  invoked : (Method_ir.slot * string) list;
+  invoked : (Method_ir.slot * int) list;
   updates : bool;
 }
 
@@ -10,7 +10,7 @@ type summary = {
 type acc = {
   mutable reads : Attribute.id list;
   mutable writes : Attribute.id list;
-  mutable invoked : (Method_ir.slot * string) list;
+  mutable invoked : (Method_ir.slot * int) list;
 }
 
 let rec analyse_block acc body = List.iter (analyse_stmt acc) body
@@ -31,7 +31,7 @@ and analyse_stmt acc = function
 
 let compare_call (s1, m1) (s2, m2) =
   let c = Int.compare s1 s2 in
-  if c <> 0 then c else String.compare m1 m2
+  if c <> 0 then c else Int.compare m1 m2
 
 let analyse (m : Method_ir.t) =
   let acc = { reads = []; writes = []; invoked = [] } in

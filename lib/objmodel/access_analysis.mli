@@ -14,9 +14,9 @@
 type summary = {
   read_attrs : Attribute.id list;  (** ascending, deduped; includes writes *)
   write_attrs : Attribute.id list;  (** ascending, deduped *)
-  invoked : (Method_ir.slot * string) list;
-      (** reference slots (with method names) the method may invoke on —
-          drives the optional prefetch extension *)
+  invoked : (Method_ir.slot * int) list;
+      (** reference slots (with method indices) the method may invoke on,
+          ascending — drives the optional prefetch extension *)
   updates : bool;  (** true iff [write_attrs] is non-empty: lock mode W *)
 }
 

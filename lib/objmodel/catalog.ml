@@ -33,7 +33,20 @@ let create instances =
             invalid_arg
               (Format.asprintf "Catalog.create: %a references unknown %a" Oid.pp inst.oid Oid.pp
                  target))
-        inst.refs)
+        inst.refs;
+      for m = 0 to Obj_class.method_count inst.cls - 1 do
+        let cm = Obj_class.find_method inst.cls m in
+        List.iter
+          (fun (slot, i) ->
+            match slots.(Oid.to_int inst.refs.(slot)) with
+            | Some target when i < 0 || i >= Obj_class.method_count target.cls ->
+                invalid_arg
+                  (Format.asprintf "Catalog.create: %a method %s invokes method %d of %a (%s)"
+                     Oid.pp inst.oid cm.Obj_class.ir.Method_ir.name i Oid.pp target.oid
+                     (Obj_class.name target.cls))
+            | Some _ | None -> ())
+          cm.Obj_class.summary.Access_analysis.invoked
+      done)
     instances;
   { slots; size = List.length instances }
 
@@ -55,7 +68,8 @@ let oids t = fold (fun inst acc -> inst.oid :: acc) t []
 
 let page_count t oid = Obj_class.page_count (find t oid).cls
 let layout t oid = Obj_class.layout (find t oid).cls
-let find_method t oid m_name = Obj_class.find_method (find t oid).cls m_name
+let find_method t oid i = Obj_class.find_method (find t oid).cls i
+let method_index t oid name = Obj_class.method_index (find t oid).cls name
 
 let resolve_slot t oid slot =
   let inst = find t oid in

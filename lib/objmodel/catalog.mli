@@ -18,7 +18,9 @@ val create : instance list -> t
 (** Instances are indexed by oid in an array sized to the largest oid, so
     {!find} is one bounds check and one load; ids need not be dense.
     @raise Invalid_argument on duplicate oids, wrong [refs] length, a
-    reference to an unknown object, or an uncompiled class. *)
+    reference to an unknown object, an uncompiled class, or an [Invoke]
+    whose method index is out of range for the class its slot is bound
+    to. *)
 
 val find : t -> Oid.t -> instance
 (** @raise Not_found *)
@@ -34,8 +36,12 @@ val page_count : t -> Oid.t -> int
 
 val layout : t -> Oid.t -> Layout.t
 
-val find_method : t -> Oid.t -> string -> Obj_class.compiled_method
-(** Compiled method of the object's class. @raise Not_found *)
+val find_method : t -> Oid.t -> int -> Obj_class.compiled_method
+(** Compiled method of the object's class, by declaration-order index.
+    @raise Not_found *)
+
+val method_index : t -> Oid.t -> string -> int
+(** Index of the named method of the object's class. @raise Not_found *)
 
 val resolve_slot : t -> Oid.t -> Method_ir.slot -> Oid.t
 (** Object bound to the reference slot. *)

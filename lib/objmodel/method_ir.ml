@@ -3,7 +3,7 @@ type slot = int
 type stmt =
   | Read of Attribute.id
   | Write of Attribute.id
-  | Invoke of { slot : slot; meth : string }
+  | Invoke of { slot : slot; meth : int }
   | If of { prob_then : float; then_ : stmt list; else_ : stmt list }
   | Loop of { count : int; body : stmt list }
 
@@ -54,7 +54,7 @@ let statement_count t = count_block t.body
 type 'a handler = {
   on_read : Attribute.id -> unit;
   on_write : Attribute.id -> unit;
-  on_invoke : slot -> string -> unit;
+  on_invoke : slot -> int -> unit;
   choose : float -> bool;
 }
 
@@ -79,7 +79,7 @@ let rec pp_block fmt body =
       match stmt with
       | Read a -> Format.fprintf fmt "read a%d; " a
       | Write a -> Format.fprintf fmt "write a%d; " a
-      | Invoke { slot; meth } -> Format.fprintf fmt "invoke s%d.%s; " slot meth
+      | Invoke { slot; meth } -> Format.fprintf fmt "invoke s%d.m%d; " slot meth
       | If { prob_then; then_; else_ } ->
           Format.fprintf fmt "if(%.2f){ %a} else { %a}; " prob_then pp_block then_ pp_block else_
       | Loop { count; body } -> Format.fprintf fmt "loop(%d){ %a}; " count pp_block body)

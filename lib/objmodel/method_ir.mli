@@ -19,8 +19,11 @@ type slot = int
 type stmt =
   | Read of Attribute.id
   | Write of Attribute.id
-  | Invoke of { slot : slot; meth : string }
-      (** Method call on the object bound to [slot] — a sub-transaction. *)
+  | Invoke of { slot : slot; meth : int }
+      (** Method call on the object bound to [slot] — a sub-transaction.
+          [meth] indexes the target class's methods in declaration order
+          ({!Obj_class.method_index} resolves a name); {!Catalog.create}
+          checks it against the class each instance binds the slot to. *)
   | If of { prob_then : float; then_ : stmt list; else_ : stmt list }
       (** Data-dependent branch. The analysis must assume either side may
           run; at execution time the branch is chosen with probability
@@ -78,7 +81,7 @@ val statement_count : t -> int
 type 'a handler = {
   on_read : Attribute.id -> unit;
   on_write : Attribute.id -> unit;
-  on_invoke : slot -> string -> unit;
+  on_invoke : slot -> int -> unit;
   choose : float -> bool;  (** branch oracle: [choose p] is the If outcome *)
 }
 
@@ -89,3 +92,5 @@ val interp : t -> 'a handler -> unit
     until it finishes). *)
 
 val pp : Format.formatter -> t -> unit
+(** An [Invoke] prints as [invoke s<slot>.m<index>]: the target's method
+    name depends on the instance the slot is bound to. *)

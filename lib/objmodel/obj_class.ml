@@ -3,6 +3,7 @@ type compiled_method = {
   summary : Access_analysis.summary;
   page_summary : Access_analysis.page_summary;
   cpu_statements : int;
+  index : int;
 }
 
 type t = {
@@ -14,8 +15,8 @@ type t = {
   compiled : compiled option;
 }
 
-(* A class has a handful of methods: a linear scan in declaration order beats
-   hashing the name on every invocation. *)
+(* [table] holds the methods in declaration order: a method index is a
+   position in it. *)
 and compiled = { layout : Layout.t; table : compiled_method array }
 
 let define ~name ~attrs ~methods ~ref_slots =
@@ -59,14 +60,21 @@ let define ~name ~attrs ~methods ~ref_slots =
   in
   { name; attrs; ref_slots; analysed; compiled = None }
 
-let compile ~page_size t =
-  let layout = Layout.create ~page_size t.attrs in
+let compile ?layout ~page_size t =
+  let layout =
+    match layout with
+    | None -> Layout.create ~page_size t.attrs
+    | Some l ->
+        if Layout.page_size l <> page_size || Layout.attr_count l <> Array.length t.attrs then
+          invalid_arg (Printf.sprintf "Obj_class.compile: layout does not fit class %s" t.name);
+        l
+  in
   let table =
     Array.of_list
-      (List.map
-         (fun (ir, summary) ->
+      (List.mapi
+         (fun index (ir, summary) ->
            let page_summary = Access_analysis.pages layout summary in
-           { ir; summary; page_summary; cpu_statements = Method_ir.statement_count ir })
+           { ir; summary; page_summary; cpu_statements = Method_ir.statement_count ir; index })
          t.analysed)
   in
   { t with compiled = Some { layout; table } }
@@ -83,14 +91,19 @@ let compiled_exn t =
 let layout t = (compiled_exn t).layout
 let page_count t = Layout.page_count (layout t)
 
-let find_method t m_name =
+let find_method t i =
   let table = (compiled_exn t).table in
-  let rec scan i =
-    if i = Array.length table then raise Not_found
-    else if String.equal table.(i).ir.Method_ir.name m_name then table.(i)
-    else scan (i + 1)
+  if i < 0 || i >= Array.length table then raise Not_found else Array.unsafe_get table i
+
+let method_count t = List.length t.analysed
+
+let method_index t m_name =
+  let rec scan i = function
+    | [] -> raise Not_found
+    | ((m : Method_ir.t), _) :: rest ->
+        if String.equal m.Method_ir.name m_name then i else scan (i + 1) rest
   in
-  scan 0
+  scan 0 t.analysed
 
 let methods t =
   Array.to_list (compiled_exn t).table

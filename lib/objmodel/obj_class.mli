@@ -13,6 +13,7 @@ type compiled_method = {
   summary : Access_analysis.summary;
   page_summary : Access_analysis.page_summary;
   cpu_statements : int;  (** statement count, used as execution cost *)
+  index : int;  (** position in the class's declaration order *)
 }
 
 val define :
@@ -25,8 +26,11 @@ val define :
     of range, or a commutative method that is read-only or nests an
     [Invoke]. *)
 
-val compile : page_size:int -> t -> t
-(** Fix the layout and compute method summaries. Idempotent. *)
+val compile : ?layout:Layout.t -> page_size:int -> t -> t
+(** Fix the layout and compute method summaries. Idempotent. [layout], when
+    given, must be [Layout.create ~page_size] of the class's attributes: it
+    is shared instead of rebuilt, so classes of one shape hold one layout.
+    @raise Invalid_argument if its page size or attribute count differs. *)
 
 val name : t -> string
 val attrs : t -> Attribute.t array
@@ -38,9 +42,17 @@ val layout : t -> Layout.t
 val page_count : t -> int
 (** Pages an instance spans. @raise Invalid_argument if not compiled. *)
 
-val find_method : t -> string -> compiled_method
-(** @raise Not_found if the method does not exist.
+val find_method : t -> int -> compiled_method
+(** The method at a declaration-order index: one bounds check and one load.
+    @raise Not_found if the index is out of range.
     @raise Invalid_argument if the class has not been compiled. *)
+
+val method_index : t -> string -> int
+(** Declaration-order index of the named method, for callers that start
+    from a name (the CLI, hand-written catalogs); a scan over the names.
+    @raise Not_found if the method does not exist. *)
+
+val method_count : t -> int
 
 val methods : t -> compiled_method list
 val method_names : t -> string list

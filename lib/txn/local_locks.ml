@@ -16,23 +16,26 @@ type outcome = Granted | Queued | Not_cached | Needs_upgrade
 type t = {
   tree : Txn_tree.t;
   (* An object may be cached by several co-located families simultaneously
-     (concurrent global readers), hence a list. A key exists only while some
-     family caches the object. *)
-  entries : family_entry list Oid.Table.t;
+     (concurrent global readers), hence a list; [] while no family caches
+     it. Indexed by object id. *)
+  entries : family_entry list Oid.Vec.t;
   (* family -> its cached entries, newest grant first. Pre-commit, abort and
      root release walk this index, so their cost follows the family's own
      footprint rather than every object the site has ever cached. *)
-  families : (Oid.t * family_entry) list Txn_id.Table.t;
+  families : (Oid.t * family_entry) list Txn_id.Slab.t;
 }
 
-let create tree = { tree; entries = Oid.Table.create 128; families = Txn_id.Table.create 64 }
+let create tree =
+  { tree; entries = Oid.Vec.create ~default:[]; families = Txn_id.Slab.create ~dummy:[] }
 
-let find_family_entry t oid ~family =
-  match Oid.Table.find_opt t.entries oid with
-  | None -> None
-  | Some l -> List.find_opt (fun e -> Txn_id.equal e.f_root family) l
+let rec find_in family = function
+  | [] -> raise Not_found
+  | e :: rest -> if Txn_id.equal e.f_root family then e else find_in family rest
 
-let object_count t = Oid.Table.length t.entries
+(* @raise Not_found when the family caches nothing on the object. *)
+let find_family_entry t oid ~family = find_in family (Oid.Vec.get t.entries oid)
+
+let object_count t = Oid.Vec.fold (fun _ l n -> match l with [] -> n | _ :: _ -> n + 1) t.entries 0
 
 (* Rule 1, with the permissive ancestor-hold extension: [txn] may take the
    lock if (a) every retainer is an ancestor of [txn], and (b) no
@@ -71,8 +74,8 @@ let wake_grantable t e =
 let acquire t oid ~txn ~mode ~wake =
   let family = Txn_tree.root_of t.tree txn in
   match find_family_entry t oid ~family with
-  | None -> Not_cached
-  | Some e ->
+  | exception Not_found -> Not_cached
+  | e ->
       if Lock.equal mode Lock.Write && Lock.equal e.f_mode Lock.Read then Needs_upgrade
       else if grantable t e ~txn ~mode then begin
         add_holder e txn mode;
@@ -86,53 +89,51 @@ let acquire t oid ~txn ~mode ~wake =
 let install_grant t oid ~txn ~mode =
   let family = Txn_tree.root_of t.tree txn in
   (match find_family_entry t oid ~family with
-  | Some _ -> invalid_arg "Local_locks.install_grant: family already caches this object"
-  | None -> ());
+  | _ -> invalid_arg "Local_locks.install_grant: family already caches this object"
+  | exception Not_found -> ());
   let e =
     { f_root = family; f_mode = mode; holders = [ (txn, mode) ]; retained = []; waiters = [] }
   in
-  let others = Option.value ~default:[] (Oid.Table.find_opt t.entries oid) in
-  Oid.Table.replace t.entries oid (e :: others);
-  let mine = Option.value ~default:[] (Txn_id.Table.find_opt t.families family) in
-  Txn_id.Table.replace t.families family ((oid, e) :: mine)
+  Oid.Vec.set t.entries oid (e :: Oid.Vec.get t.entries oid);
+  let mine = match Txn_id.Slab.get t.families family with l -> l | exception Not_found -> [] in
+  Txn_id.Slab.replace t.families family ((oid, e) :: mine)
 
 let upgrade_granted t oid ~txn =
   let family = Txn_tree.root_of t.tree txn in
   match find_family_entry t oid ~family with
-  | None -> invalid_arg "Local_locks.upgrade_granted: no cached entry"
-  | Some e ->
+  | exception Not_found -> invalid_arg "Local_locks.upgrade_granted: no cached entry"
+  | e ->
       e.f_mode <- Lock.Write;
       add_holder e txn Lock.Write
 
 let family_mode t oid ~family =
-  match find_family_entry t oid ~family with None -> None | Some e -> Some e.f_mode
+  match find_family_entry t oid ~family with
+  | exception Not_found -> None
+  | e -> Some e.f_mode
 
 let held_mode t oid ~txn =
   let family = Txn_tree.root_of t.tree txn in
   match find_family_entry t oid ~family with
-  | None -> None
-  | Some e ->
+  | exception Not_found -> None
+  | e ->
       List.fold_left
         (fun acc (h, m) -> if Txn_id.equal h txn then Some m else acc)
         None e.holders
 
 let retainers t oid ~family =
-  match find_family_entry t oid ~family with None -> [] | Some e -> e.retained
+  match find_family_entry t oid ~family with exception Not_found -> [] | e -> e.retained
 
 (* Iterate over every entry belonging to [family], in grant-install order. *)
 let iter_family_entries t ~family f =
-  match Txn_id.Table.find_opt t.families family with
-  | None -> ()
-  | Some l -> List.iter (fun (oid, e) -> f oid e) (List.rev l)
+  match Txn_id.Slab.get t.families family with
+  | exception Not_found -> ()
+  | l -> List.iter (fun (oid, e) -> f oid e) (List.rev l)
 
-(* Drop [family]'s entry on [oid]; the object's key goes with its last entry. *)
+(* Drop [family]'s entry on [oid]. *)
 let drop_entry t oid ~family =
-  match Oid.Table.find_opt t.entries oid with
-  | None -> ()
-  | Some l -> (
-      match List.filter (fun e -> not (Txn_id.equal e.f_root family)) l with
-      | [] -> Oid.Table.remove t.entries oid
-      | rest -> Oid.Table.replace t.entries oid rest)
+  match Oid.Vec.get t.entries oid with
+  | [] -> ()
+  | l -> Oid.Vec.set t.entries oid (List.filter (fun e -> not (Txn_id.equal e.f_root family)) l)
 
 let add_retained e txn mode =
   let prev = List.assoc_opt txn e.retained in
@@ -180,12 +181,12 @@ let abort t txn ~to_release =
   let emptied = List.rev !empty_objects in
   if emptied <> [] then begin
     let kept (oid, _) = not (List.exists (Oid.equal oid) emptied) in
-    (match Txn_id.Table.find_opt t.families family with
-    | None -> ()
-    | Some l -> (
+    (match Txn_id.Slab.get t.families family with
+    | exception Not_found -> ()
+    | l -> (
         match List.filter kept l with
-        | [] -> Txn_id.Table.remove t.families family
-        | rest -> Txn_id.Table.replace t.families family rest));
+        | [] -> Txn_id.Slab.remove t.families family
+        | rest -> Txn_id.Slab.replace t.families family rest));
     List.iter
       (fun oid ->
         drop_entry t oid ~family;
@@ -198,10 +199,12 @@ let root_release t ~root =
   iter_family_entries t ~family:root (fun oid _ ->
       drop_entry t oid ~family:root;
       released := oid :: !released);
-  Txn_id.Table.remove t.families root;
+  Txn_id.Slab.remove t.families root;
   List.sort_uniq Oid.compare !released
 
 let objects_of_family t ~family =
   let acc = ref [] in
   iter_family_entries t ~family (fun oid _ -> acc := oid :: !acc);
   List.sort_uniq Oid.compare !acc
+
+let family_capacity t = Txn_id.Slab.capacity t.families

@@ -87,3 +87,6 @@ val objects_of_family : t -> family:Txn_id.t -> Objmodel.Oid.t list
 val object_count : t -> int
 (** Objects some family currently caches here. An object's entry goes with
     its last family's, so this returns to 0 once every family has released. *)
+
+val family_capacity : t -> int
+(** Slots in the per-family index ring ({!Txn_id.Slab}). *)

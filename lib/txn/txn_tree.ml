@@ -9,9 +9,14 @@ type record = {
   mutable children : Txn_id.t list;  (* reverse creation order *)
 }
 
-type t = { mutable next : int; table : record Txn_id.Table.t }
+type t = { mutable next : int; table : record Txn_id.Slab.t }
 
-let create () = { next = 0; table = Txn_id.Table.create 256 }
+let create () =
+  let dummy =
+    { parent = None; root = Txn_id.of_int 0; node = -1; depth = 0; status = Aborted;
+      children = [] }
+  in
+  { next = 0; table = Txn_id.Slab.create ~dummy }
 
 let fresh t =
   let id = Txn_id.of_int t.next in
@@ -19,13 +24,14 @@ let fresh t =
   id
 
 let get t id =
-  match Txn_id.Table.find_opt t.table id with
-  | Some r -> r
-  | None -> invalid_arg (Format.asprintf "Txn_tree: unknown transaction %a" Txn_id.pp id)
+  match Txn_id.Slab.get t.table id with
+  | r -> r
+  | exception Not_found ->
+      invalid_arg (Format.asprintf "Txn_tree: unknown transaction %a" Txn_id.pp id)
 
 let create_root t ~node =
   let id = fresh t in
-  Txn_id.Table.add t.table id
+  Txn_id.Slab.replace t.table id
     { parent = None; root = id; node; depth = 0; status = Active; children = [] };
   id
 
@@ -35,7 +41,7 @@ let create_child ?node t ~parent =
     invalid_arg
       (Format.asprintf "Txn_tree.create_child: parent %a is not active" Txn_id.pp parent);
   let id = fresh t in
-  Txn_id.Table.add t.table id
+  Txn_id.Slab.replace t.table id
     {
       parent = Some parent;
       root = p.root;
@@ -79,10 +85,12 @@ let forget_family t root =
   (* Ids are never reused ([next] keeps counting), so dropping the records
      frees their memory without weakening the no-reuse fence. *)
   let rec drop id =
-    match Txn_id.Table.find_opt t.table id with
-    | None -> ()
-    | Some r ->
+    match Txn_id.Slab.get t.table id with
+    | exception Not_found -> ()
+    | r ->
         List.iter drop r.children;
-        Txn_id.Table.remove t.table id
+        Txn_id.Slab.remove t.table id
   in
   drop root
+
+let capacity t = Txn_id.Slab.capacity t.table

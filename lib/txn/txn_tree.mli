@@ -73,3 +73,7 @@ val forget_family : t -> Txn_id.t -> unit
     created (the runtime's streaming mode). Ids are never reused, so
     forgetting cannot resurrect one; querying a forgotten id afterwards
     raises like any unknown id. *)
+
+val capacity : t -> int
+(** Slots in the record ring ({!Txn_id.Slab}): follows the span of live ids,
+    so it stays flat over a streaming run that forgets finished families. *)

@@ -1,6 +1,6 @@
 open Objmodel
 
-type root_spec = { at : float; node : int; oid : Oid.t; meth : string; seed : int }
+type root_spec = { at : float; node : int; oid : Oid.t; meth : int; seed : int }
 
 type t = { spec : Spec.t; catalog : Catalog.t; roots : root_spec list }
 
@@ -12,7 +12,7 @@ let attrs_per_page (spec : Spec.t) ~page_size = max 1 (page_size / spec.attr_siz
    attributes is accessed (some behind data-dependent branches, so the
    conservative prediction over-approximates the actual footprint), and some
    reference slots are invoked through (sub-transactions). *)
-let gen_method rng (spec : Spec.t) ~method_names ~attr_count ~slot_count ~name ~read_only =
+let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
   let accessed =
     (* A contiguous window of the layout (related fields live together),
        thinned by the access density, plus an occasional scattered access
@@ -51,8 +51,7 @@ let gen_method rng (spec : Spec.t) ~method_names ~attr_count ~slot_count ~name ~
       (fun slot ->
         if Sim.Prng.bernoulli rng spec.invoke_probability then
           Some
-            (Method_ir.Invoke
-               { slot; meth = method_names.(Sim.Prng.int rng spec.methods_per_class) })
+            (Method_ir.Invoke { slot; meth = Sim.Prng.int rng spec.methods_per_class })
         else None)
       (List.init slot_count (fun s -> s))
   in
@@ -60,12 +59,13 @@ let gen_method rng (spec : Spec.t) ~method_names ~attr_count ~slot_count ~name ~
   Sim.Prng.shuffle rng stmts;
   Method_ir.make ~name ~body:(Array.to_list stmts)
 
-(* [attr_pool] holds the attributes of the largest class the spec allows;
-   a class takes a prefix of it. *)
-let gen_class rng (spec : Spec.t) ~page_size ~method_names ~attr_pool ~index ~slot_count =
+(* [shapes.(pages)] holds the attribute array and layout every class of
+   that page count shares (a prefix of the attributes of the largest class
+   the spec allows), built on first use. *)
+let gen_class rng (spec : Spec.t) ~page_size ~method_names ~shapes ~index ~slot_count =
   let pages = Sim.Prng.int_in rng spec.min_pages spec.max_pages in
-  let attr_count = pages * attrs_per_page spec ~page_size in
-  let attrs = Array.sub attr_pool 0 attr_count in
+  let attrs, layout = Lazy.force shapes.(pages) in
+  let attr_count = Array.length attrs in
   let methods =
     List.init spec.methods_per_class (fun m ->
         (* Method m0 always updates, so every class has a writer; others may
@@ -85,10 +85,9 @@ let gen_class rng (spec : Spec.t) ~page_size ~method_names ~attr_pool ~index ~sl
             ~body:[ Method_ir.Write 0 ]
         else
           let read_only = m > 0 && Sim.Prng.bernoulli rng spec.read_only_method_fraction in
-          gen_method rng spec ~method_names ~attr_count ~slot_count ~name:method_names.(m)
-            ~read_only)
+          gen_method rng spec ~attr_count ~slot_count ~name:method_names.(m) ~read_only)
   in
-  Obj_class.compile ~page_size
+  Obj_class.compile ~layout ~page_size
     (Obj_class.define
        ~name:("C" ^ string_of_int index)
        ~attrs ~methods ~ref_slots:slot_count)
@@ -113,8 +112,8 @@ let generate spec ~page_size =
           Array.of_list (List.map (fun d -> Oid.of_int (i + 1 + d)) picks)
         end)
   in
-  (* Names and attributes are immutable: one copy serves every class and
-     root. *)
+  (* Names, attributes and layouts are immutable: one copy serves every
+     class of the same shape. *)
   let method_names = Array.init spec.Spec.methods_per_class method_name in
   let attr_pool =
     Array.init
@@ -122,11 +121,17 @@ let generate spec ~page_size =
       (fun a ->
         Attribute.make ~name:("a" ^ string_of_int a) ~size_bytes:spec.Spec.attr_size_bytes)
   in
+  let shapes =
+    Array.init (spec.Spec.max_pages + 1) (fun pages ->
+        lazy
+          (let attrs = Array.sub attr_pool 0 (pages * attrs_per_page spec ~page_size) in
+           (attrs, Layout.create ~page_size attrs)))
+  in
   let instances =
     List.init n (fun i ->
         let refs = slots_of.(i) in
         let cls =
-          gen_class rng_methods spec ~page_size ~method_names ~attr_pool ~index:i
+          gen_class rng_methods spec ~page_size ~method_names ~shapes ~index:i
             ~slot_count:(Array.length refs)
         in
         { Catalog.oid = Oid.of_int i; cls; refs })
@@ -214,7 +219,7 @@ let generate spec ~page_size =
             at = !clock;
             node = r mod spec.Spec.node_count;
             oid = Oid.of_int (pick_target ());
-            meth = method_names.(pick_method ());
+            meth = pick_method ();
             seed = (spec.Spec.seed * 1_000_003) + (r * 7919) + 17;
           }
         in

@@ -14,7 +14,7 @@ type root_spec = {
   at : float;  (** absolute submission time, µs *)
   node : int;
   oid : Objmodel.Oid.t;
-  meth : string;
+  meth : int;  (** method index in the target's class ({!Objmodel.Obj_class.find_method}) *)
   seed : int;  (** the root's private random stream *)
 }
 
@@ -36,4 +36,5 @@ val generate : Spec.t -> page_size:int -> t
     [roots]). *)
 
 val method_name : int -> string
-(** ["m<i>"] — the naming scheme used for generated methods. *)
+(** ["m<i>"] — the name of generated method [i]: every generated class
+    declares [m0], [m1], ... in index order. *)

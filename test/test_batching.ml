@@ -161,8 +161,8 @@ let driver_class ~page_size =
            Method_ir.make ~name:"m"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "mx" };
-                 Method_ir.Invoke { slot = 0; meth = "myz" };
+                 Method_ir.Invoke { slot = 0; meth = 0 (* mx *) };
+                 Method_ir.Invoke { slot = 0; meth = 1 (* myz *) };
                ];
          ]
        ~ref_slots:1)
@@ -189,7 +189,7 @@ let run_diamond policy =
     Core.Runtime.create ~config
       ~catalog:(diamond_catalog ~page_size:config.Core.Config.page_size)
   in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 1) ~meth:"m" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 1) ~meth:"m" ~seed:1;
   Core.Runtime.run rt;
   let m = Core.Runtime.metrics rt in
   Alcotest.(check int) "committed" 1 (Dsm.Metrics.totals m).Dsm.Metrics.roots_committed;
@@ -240,7 +240,7 @@ let caller_class ~page_size =
        ~methods:
          [
            Method_ir.make ~name:"go"
-             ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = "set" } ];
+             ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = 0 (* set *) } ];
          ]
        ~ref_slots:1)
 
@@ -274,8 +274,8 @@ let run_twins policy =
     Core.Runtime.create ~config
       ~catalog:(twin_catalog ~page_size:config.Core.Config.page_size)
   in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 1) ~meth:"go" ~seed:1;
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 3) ~meth:"go" ~seed:2;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 1) ~meth:"go" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 3) ~meth:"go" ~seed:2;
   Core.Runtime.run rt;
   let m = Core.Runtime.metrics rt in
   Alcotest.(check int) "both committed" 2 (Dsm.Metrics.totals m).Dsm.Metrics.roots_committed;

@@ -363,6 +363,41 @@ let test_metrics_zero_object () =
   let e = Dsm.Metrics.per_object m (oid 9) in
   Alcotest.(check int) "zeroed" 0 e.Dsm.Metrics.messages
 
+(* Untagged traffic (transport acks, releases, membership) has its own
+   slot beside the per-object array: it is listed last and counted in
+   every total, and a lossy run's wire ledger still reconciles with it. *)
+let test_metrics_untagged () =
+  let m = Dsm.Metrics.create () in
+  Dsm.Metrics.record_message m ~oid:(oid 3) ~kind:Sim.Network.Data ~bytes:4000;
+  Dsm.Metrics.record_message m ~oid:Dsm.Metrics.untagged ~kind:Sim.Network.Control ~bytes:64;
+  Dsm.Metrics.record_message m ~oid:Dsm.Metrics.untagged ~kind:Sim.Network.Control ~bytes:64;
+  Alcotest.(check (list int)) "untagged listed last" [ 3; Oid.to_int Dsm.Metrics.untagged ]
+    (List.map Oid.to_int (Dsm.Metrics.objects m));
+  Alcotest.(check int) "untagged messages" 2
+    (Dsm.Metrics.per_object m Dsm.Metrics.untagged).Dsm.Metrics.messages;
+  Alcotest.(check int) "total messages" 3 (Dsm.Metrics.total_messages m);
+  Alcotest.(check int) "total bytes" 4128 (Dsm.Metrics.total_bytes m);
+  let spec =
+    { Workload.Spec.default with Workload.Spec.object_count = 8; root_count = 30; seed = 11 }
+  in
+  let faults = { Sim.Fault.none with Sim.Fault.drop_probability = 0.05; seed = 5 } in
+  let config =
+    { Core.Config.default with Core.Config.node_count = spec.Workload.Spec.node_count;
+      faults = Some faults }
+  in
+  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+  let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
+  let m = Experiments.Runner.metrics run in
+  let untagged = Dsm.Metrics.per_object m Dsm.Metrics.untagged in
+  Alcotest.(check bool) "acks are untagged" true (untagged.Dsm.Metrics.messages > 0);
+  let sum f = List.fold_left (fun acc o -> acc + f (Dsm.Metrics.per_object m o)) 0 (Dsm.Metrics.objects m) in
+  Alcotest.(check int) "per-object messages add up" (Dsm.Metrics.total_messages m)
+    (sum (fun e -> e.Dsm.Metrics.messages));
+  Alcotest.(check int) "wire messages reconcile" (Dsm.Metrics.total_messages m)
+    (Dsm.Metrics.wire_messages_total m);
+  Alcotest.(check int) "wire bytes reconcile" (Dsm.Metrics.total_bytes m)
+    (Dsm.Metrics.wire_bytes_total m)
+
 let tests =
   [
     ( "dsm",
@@ -392,5 +427,6 @@ let tests =
         Alcotest.test_case "metrics size histogram" `Quick test_metrics_size_histogram;
         Alcotest.test_case "metrics am time model" `Quick test_metrics_am_time_model;
         Alcotest.test_case "metrics zero object" `Quick test_metrics_zero_object;
+        Alcotest.test_case "metrics untagged slot" `Quick test_metrics_untagged;
       ] );
   ]

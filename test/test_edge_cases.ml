@@ -114,7 +114,7 @@ let test_diamond_dag_depth () =
     Obj_class.compile ~page_size:100
       (Obj_class.define ~name:"M"
          ~attrs:[||]
-         ~methods:[ Method_ir.make ~name:"m" ~body:[ Method_ir.Invoke { slot = 0; meth = "m" } ] ]
+         ~methods:[ Method_ir.make ~name:"m" ~body:[ Method_ir.Invoke { slot = 0; meth = 0 } ] ]
          ~ref_slots:1)
   in
   let top =
@@ -126,8 +126,8 @@ let test_diamond_dag_depth () =
              Method_ir.make ~name:"m"
                ~body:
                  [
-                   Method_ir.Invoke { slot = 0; meth = "m" };
-                   Method_ir.Invoke { slot = 1; meth = "m" };
+                   Method_ir.Invoke { slot = 0; meth = 0 };
+                   Method_ir.Invoke { slot = 1; meth = 0 };
                  ];
            ]
          ~ref_slots:2)
@@ -163,8 +163,8 @@ let test_diamond_family_reacquires_locally () =
              Method_ir.make ~name:"m"
                ~body:
                  [
-                   Method_ir.Invoke { slot = 0; meth = "m" };
-                   Method_ir.Invoke { slot = 1; meth = "m" };
+                   Method_ir.Invoke { slot = 0; meth = 0 };
+                   Method_ir.Invoke { slot = 1; meth = 0 };
                  ];
            ]
          ~ref_slots:2)
@@ -177,7 +177,7 @@ let test_diamond_family_reacquires_locally () =
       ]
   in
   let rt = Core.Runtime.create ~config:Core.Config.default ~catalog:cat in
-  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 0) ~meth:"m" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:2 ~oid:(oid 0) ~meth:"m" ~seed:1;
   Core.Runtime.run rt;
   let t = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
   Alcotest.(check int) "committed" 1 t.Dsm.Metrics.roots_committed;

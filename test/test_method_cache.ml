@@ -50,56 +50,56 @@ let test_store_off_inert () =
   let t = Dsm.Method_cache.create Dsm.Method_cache.off in
   Alcotest.(check bool) "disabled" false (Dsm.Method_cache.enabled t);
   Alcotest.(check bool) "install refused" false
-    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1 |] ~reads:reads_a);
+    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:1 ~versions:[| 1 |] ~reads:reads_a);
   Alcotest.(check bool) "find misses" true
-    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1 |] = None);
+    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 1 |] = None);
   Alcotest.(check int) "empty" 0 (Dsm.Method_cache.entry_count t)
 
 let test_store_hit_and_version_eviction () =
   let t = Dsm.Method_cache.create (lru 8) in
   Alcotest.(check bool) "filled" true
-    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1; 3 |] ~reads:reads_a);
+    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:1 ~versions:[| 1; 3 |] ~reads:reads_a);
   Alcotest.(check bool) "duplicate refused" false
-    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1; 3 |] ~reads:reads_a);
-  (match Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1; 3 |] with
+    (Dsm.Method_cache.install t ~oid:(oid 1) ~meth:1 ~versions:[| 1; 3 |] ~reads:reads_a);
+  (match Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 1; 3 |] with
   | Some reads -> Alcotest.(check (list (pair int int))) "read log" reads_a reads
   | None -> Alcotest.fail "expected a hit");
   Alcotest.(check bool) "other method misses" true
-    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m2" ~versions:[| 1; 3 |] = None);
+    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:2 ~versions:[| 1; 3 |] = None);
   (* The lazy version-advance invalidation: a key hit at different versions
      drops the stale entry, so even the original versions miss afterwards. *)
   Alcotest.(check bool) "stale versions miss" true
-    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 2; 3 |] = None);
+    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 2; 3 |] = None);
   Alcotest.(check int) "stale entry dropped" 0 (Dsm.Method_cache.entry_count t);
   Alcotest.(check bool) "original versions also gone" true
-    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1; 3 |] = None)
+    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 1; 3 |] = None)
 
 let test_store_lru_eviction () =
   let t = Dsm.Method_cache.create (lru 2) in
-  let install o = ignore (Dsm.Method_cache.install t ~oid:(oid o) ~meth:"m1" ~versions:[| 1 |] ~reads:reads_a) in
+  let install o = ignore (Dsm.Method_cache.install t ~oid:(oid o) ~meth:1 ~versions:[| 1 |] ~reads:reads_a) in
   install 1;
   install 2;
   (* Touch 1 so 2 becomes the LRU victim. *)
-  ignore (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1 |]);
+  ignore (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 1 |]);
   install 3;
   Alcotest.(check int) "at capacity" 2 (Dsm.Method_cache.entry_count t);
   Alcotest.(check bool) "LRU victim evicted" true
-    (Dsm.Method_cache.find t ~oid:(oid 2) ~meth:"m1" ~versions:[| 1 |] = None);
+    (Dsm.Method_cache.find t ~oid:(oid 2) ~meth:1 ~versions:[| 1 |] = None);
   Alcotest.(check bool) "recently used survives" true
-    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:"m1" ~versions:[| 1 |] <> None);
+    (Dsm.Method_cache.find t ~oid:(oid 1) ~meth:1 ~versions:[| 1 |] <> None);
   Alcotest.(check bool) "newcomer present" true
-    (Dsm.Method_cache.find t ~oid:(oid 3) ~meth:"m1" ~versions:[| 1 |] <> None)
+    (Dsm.Method_cache.find t ~oid:(oid 3) ~meth:1 ~versions:[| 1 |] <> None)
 
 let test_store_invalidate_and_clear () =
   let t = Dsm.Method_cache.create (lru 8) in
   let install o m = ignore (Dsm.Method_cache.install t ~oid:(oid o) ~meth:m ~versions:[| 1 |] ~reads:reads_a) in
-  install 1 "m1";
-  install 1 "m2";
-  install 2 "m1";
+  install 1 1;
+  install 1 2;
+  install 2 1;
   Alcotest.(check int) "object wiped (all methods)" 2
     (Dsm.Method_cache.invalidate_object t (oid 1));
   Alcotest.(check bool) "other object untouched" true
-    (Dsm.Method_cache.find t ~oid:(oid 2) ~meth:"m1" ~versions:[| 1 |] <> None);
+    (Dsm.Method_cache.find t ~oid:(oid 2) ~meth:1 ~versions:[| 1 |] <> None);
   Alcotest.(check int) "idempotent" 0 (Dsm.Method_cache.invalidate_object t (oid 1));
   Alcotest.(check int) "clear drops the rest" 1 (Dsm.Method_cache.clear t);
   Alcotest.(check int) "empty after clear" 0 (Dsm.Method_cache.entry_count t)
@@ -117,7 +117,7 @@ let prop_capacity_bound =
       let t = Dsm.Method_cache.create (lru capacity) in
       List.for_all
         (fun (o, m, v) ->
-          let meth = Printf.sprintf "m%d" m in
+          let meth = m in
           (match m mod 3 with
           | 0 ->
               ignore

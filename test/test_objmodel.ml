@@ -94,7 +94,7 @@ let body_abc =
       {
         prob_then = 0.5;
         then_ = [ Method_ir.Write 1 ];
-        else_ = [ Method_ir.Read 2; Method_ir.Invoke { slot = 1; meth = "m0" } ];
+        else_ = [ Method_ir.Read 2; Method_ir.Invoke { slot = 1; meth = 0 } ];
       };
     Method_ir.Loop { count = 3; body = [ Method_ir.Write 3 ] };
   ]
@@ -116,7 +116,7 @@ let run_interp m ~choose =
     {
       Method_ir.on_read = (fun a -> log := Printf.sprintf "r%d" a :: !log);
       on_write = (fun a -> log := Printf.sprintf "w%d" a :: !log);
-      on_invoke = (fun s meth -> log := Printf.sprintf "i%d.%s" s meth :: !log);
+      on_invoke = (fun s meth -> log := Printf.sprintf "i%d.m%d" s meth :: !log);
       choose;
     }
   in
@@ -165,7 +165,7 @@ let test_analysis_unions_branches () =
   Alcotest.(check (list int)) "reads include writes" [ 0; 1; 2; 3 ] s.Access_analysis.read_attrs;
   Alcotest.(check (list int)) "writes" [ 1; 3 ] s.Access_analysis.write_attrs;
   Alcotest.(check bool) "updates" true s.Access_analysis.updates;
-  Alcotest.(check (list (pair int string))) "invoked" [ (1, "m0") ] s.Access_analysis.invoked
+  Alcotest.(check (list (pair int int))) "invoked" [ (1, 0) ] s.Access_analysis.invoked
 
 let test_analysis_read_only () =
   let m = Method_ir.make ~name:"m" ~body:[ Method_ir.Read 5; Method_ir.Read 5 ] in
@@ -239,7 +239,7 @@ module Reference = struct
   module IS = Set.Make (Int)
 
   module SlotMeth = Set.Make (struct
-    type t = int * string
+    type t = int * int
 
     let compare = compare
   end)
@@ -272,11 +272,10 @@ module Reference = struct
 end
 
 (* Method bodies over 40 attributes with nested branches, loops and
-   invocations whose method names order differently as strings and as
-   numbers ("m10" < "m2"). *)
+   invocations of a handful of method indices. *)
 let gen_ir_body =
   let open QCheck.Gen in
-  let meth = oneofl [ "m0"; "m1"; "m2"; "m10"; "m11"; "a"; "" ] in
+  let meth = oneofl [ 0; 1; 2; 10; 11 ] in
   sized (fun n ->
       fix
         (fun self n ->
@@ -357,9 +356,9 @@ let simple_class () =
 let test_class_compile () =
   let k = Obj_class.compile ~page_size:100 (simple_class ()) in
   Alcotest.(check int) "pages" 3 (Obj_class.page_count k);
-  let get = Obj_class.find_method k "get" in
+  let get = Obj_class.find_method k (Obj_class.method_index k "get") in
   Alcotest.(check bool) "get read-only" false get.Obj_class.summary.Access_analysis.updates;
-  let set = Obj_class.find_method k "set" in
+  let set = Obj_class.find_method k (Obj_class.method_index k "set") in
   Alcotest.(check bool) "set updates" true set.Obj_class.summary.Access_analysis.updates;
   Alcotest.(check (list string)) "method names" [ "get"; "set" ] (Obj_class.method_names k)
 
@@ -382,14 +381,17 @@ let test_class_slot_validation () =
     (Invalid_argument "Obj_class.define: method m uses slot beyond ref_slots") (fun () ->
       ignore
         (Obj_class.define ~name:"K" ~attrs:[||]
-           ~methods:[ Method_ir.make ~name:"m" ~body:[ Method_ir.Invoke { slot = 2; meth = "x" } ] ]
+           ~methods:[ Method_ir.make ~name:"m" ~body:[ Method_ir.Invoke { slot = 2; meth = 0 } ] ]
            ~ref_slots:2))
 
 let test_class_missing_method () =
   let k = Obj_class.compile ~page_size:100 (simple_class ()) in
-  Alcotest.check_raises "not found" Not_found (fun () -> ignore (Obj_class.find_method k "nope"))
+  Alcotest.check_raises "not found" Not_found (fun () -> ignore (Obj_class.method_index k "nope"));
+  Alcotest.check_raises "index past the end" Not_found (fun () ->
+      ignore (Obj_class.find_method k 2));
+  Alcotest.check_raises "negative index" Not_found (fun () -> ignore (Obj_class.find_method k (-1)))
 
-(* Lookup scans the methods in declaration order; [methods] still lists
+(* A method's index is its declaration position; [methods] still lists
    them by name, and a name that is only a prefix of a method is unknown. *)
 let test_class_find_method_scan () =
   let names = [ "zeta"; "alpha"; "mid"; "alphabet" ] in
@@ -400,16 +402,18 @@ let test_class_find_method_scan () =
          ~methods:(List.map (fun name -> Method_ir.make ~name ~body:[ Method_ir.Read 0 ]) names)
          ~ref_slots:0)
   in
-  List.iter
-    (fun name ->
+  List.iteri
+    (fun i name ->
+      Alcotest.(check int) ("index of " ^ name) i (Obj_class.method_index k name);
       Alcotest.(check string) ("finds " ^ name) name
-        (Obj_class.find_method k name).Obj_class.ir.Method_ir.name)
+        (Obj_class.find_method k i).Obj_class.ir.Method_ir.name)
     names;
+  Alcotest.(check int) "count" 4 (Obj_class.method_count k);
   Alcotest.(check (list string)) "sorted names" [ "alpha"; "alphabet"; "mid"; "zeta" ]
     (Obj_class.method_names k);
   Alcotest.check_raises "prefix unknown" Not_found (fun () ->
-      ignore (Obj_class.find_method k "alph"));
-  Alcotest.check_raises "empty unknown" Not_found (fun () -> ignore (Obj_class.find_method k ""))
+      ignore (Obj_class.method_index k "alph"));
+  Alcotest.check_raises "empty unknown" Not_found (fun () -> ignore (Obj_class.method_index k ""))
 
 (* ---------- Catalog ---------- *)
 
@@ -427,7 +431,7 @@ let compiled_parent name =
        ~methods:
          [
            Method_ir.make ~name:"m0"
-             ~body:[ Method_ir.Read 0; Method_ir.Invoke { slot = 0; meth = "m0" } ];
+             ~body:[ Method_ir.Read 0; Method_ir.Invoke { slot = 0; meth = 0 } ];
          ]
        ~ref_slots:1)
 
@@ -482,6 +486,58 @@ let test_catalog_validation () =
   let dup = { Catalog.oid = oid 0; cls = compiled_leaf "L"; refs = [||] } in
   Alcotest.check_raises "duplicate oid" (Invalid_argument "Catalog.create: duplicate O0")
     (fun () -> ignore (Catalog.create [ dup; dup ]))
+
+(* An [Invoke] names its target's method by index, checked against the
+   class each instance binds the slot to. *)
+let test_catalog_invoke_index () =
+  let caller =
+    Obj_class.compile ~page_size:100
+      (Obj_class.define ~name:"C"
+         ~attrs:(attrs_of_sizes [ 50 ])
+         ~methods:[ Method_ir.make ~name:"go" ~body:[ Method_ir.Invoke { slot = 0; meth = 1 } ] ]
+         ~ref_slots:1)
+  in
+  Alcotest.check_raises "index past the target's methods"
+    (Invalid_argument "Catalog.create: O0 method go invokes method 1 of O1 (L)") (fun () ->
+      ignore
+        (Catalog.create
+           [
+             { Catalog.oid = oid 0; cls = caller; refs = [| oid 1 |] };
+             { Catalog.oid = oid 1; cls = compiled_leaf "L"; refs = [||] };
+           ]));
+  let two =
+    Obj_class.compile ~page_size:100
+      (Obj_class.define ~name:"Two"
+         ~attrs:(attrs_of_sizes [ 50 ])
+         ~methods:
+           [
+             Method_ir.make ~name:"a" ~body:[ Method_ir.Read 0 ];
+             Method_ir.make ~name:"b" ~body:[ Method_ir.Write 0 ];
+           ]
+         ~ref_slots:0)
+  in
+  let cat =
+    Catalog.create
+      [
+        { Catalog.oid = oid 0; cls = caller; refs = [| oid 1 |] };
+        { Catalog.oid = oid 1; cls = two; refs = [||] };
+      ]
+  in
+  Alcotest.(check string) "method 1 of the target" "b"
+    (Catalog.find_method cat (oid 1) 1).Obj_class.ir.Method_ir.name;
+  Alcotest.(check int) "index by name" 1 (Catalog.method_index cat (oid 1) "b")
+
+(* A shared layout must be the class's own: same page size, same
+   attribute count. *)
+let test_class_shared_layout () =
+  let cls = simple_class () in
+  let layout = Layout.create ~page_size:100 (Obj_class.attrs cls) in
+  let a = Obj_class.compile ~layout ~page_size:100 cls in
+  let b = Obj_class.compile ~layout ~page_size:100 cls in
+  Alcotest.(check bool) "shared" true (Obj_class.layout a == Obj_class.layout b);
+  Alcotest.check_raises "page size differs"
+    (Invalid_argument "Obj_class.compile: layout does not fit class K") (fun () ->
+      ignore (Obj_class.compile ~layout ~page_size:200 cls))
 
 (* Ids need not be dense: the instance array keeps empty slots, which
    [find], [size], [oids] and [total_pages] skip. *)
@@ -549,6 +605,8 @@ let tests =
         Alcotest.test_case "catalog cycle" `Quick test_catalog_cycle_detection;
         Alcotest.test_case "catalog self loop" `Quick test_catalog_self_loop;
         Alcotest.test_case "catalog validation" `Quick test_catalog_validation;
+        Alcotest.test_case "catalog invoke index" `Quick test_catalog_invoke_index;
+        Alcotest.test_case "class shared layout" `Quick test_class_shared_layout;
         Alcotest.test_case "catalog find missing" `Quick test_catalog_find_missing;
         Alcotest.test_case "catalog sparse ids" `Quick test_catalog_sparse_ids;
       ] );

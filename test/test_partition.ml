@@ -286,10 +286,10 @@ let test_lease_fence_defers_successor () =
   in
   (* Read lease on oid 2 (homed at node 2) granted to node 0 well before
      the partition opens... *)
-  Core.Runtime.submit rt ~at:100.0 ~node:0 ~oid:(oid 2) ~meth:"audit" ~seed:1;
+  Named.submit rt ~at:100.0 ~node:0 ~oid:(oid 2) ~meth:"audit" ~seed:1;
   (* ...and a write from node 1 mid-partition, after the false
      declaration (~3 ms) but inside the lease fence (~10.1 ms). *)
-  Core.Runtime.submit rt ~at:5_000.0 ~node:1 ~oid:(oid 2) ~meth:"deposit" ~seed:2;
+  Named.submit rt ~at:5_000.0 ~node:1 ~oid:(oid 2) ~meth:"deposit" ~seed:2;
   Core.Runtime.run rt;
   let t = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
   Alcotest.(check bool) "successor was fenced" true (t.Dsm.Metrics.fence_deferrals >= 1);

@@ -94,46 +94,90 @@ let prop_invariants_all_protocols =
           all_locks_free run && page_map_consistent run && serializable run)
         Dsm.Protocol.all)
 
+(* Data bytes per acquisition, and per data-moving round: an acquisition
+   that transferred pages, or a demand fetch (both counted from the run's
+   trace). *)
+let data_rates ~protocol (spec, config) =
+  let config =
+    { config with Core.Config.trace_capacity = 64 * spec.Workload.Spec.root_count }
+  in
+  let run = run_one ~protocol (spec, config) in
+  let m = Experiments.Runner.metrics run in
+  let data = float_of_int (Dsm.Metrics.total_data_bytes m) in
+  let per n = if n = 0 then 0.0 else data /. float_of_int n in
+  let rounds =
+    match Core.Runtime.trace run.Experiments.Runner.runtime with
+    | None -> assert false
+    | Some tr ->
+        List.length
+          (List.filter
+             (fun (e : Dsm.Event.t Sim.Trace.entry) ->
+               match e.Sim.Trace.data with
+               | Dsm.Event.Transfer _ | Dsm.Event.Demand_fetch _ -> true
+               | _ -> false)
+             (Sim.Trace.events tr))
+  in
+  (per (Dsm.Metrics.totals m).Dsm.Metrics.global_acquisitions, per rounds, rounds)
+
+(* The per-acquisition subset property (LOTEC set ⊆ OTEC set ⊆ COTEC set
+   for a fixed staleness snapshot) is exact and tested at the
+   Protocol.transfer_set level. At the whole-system level, different
+   protocols produce different interleavings on tiny high-conflict
+   clusters — acquisition counts diverge, ownership ping-pongs differently,
+   staleness snapshots differ — so per-run cross-protocol totals carry
+   scheduling noise in both directions (observed: OTEC with 32
+   acquisitions where COTEC took 28; OTEC 5 % above COTEC). What must
+   survive arbitrary schedules: LOTEC per acquisition never exceeds COTEC's
+   (the headline gap is large), and the neighbouring comparisons hold
+   within bounded noise.
+
+   LOTEC against OTEC is compared per data-moving round, not per
+   acquisition. LOTEC's smaller transfers finish sooner, which can let a
+   waiting remote family take an object earlier and split one node's run
+   of acquisitions in two: the same acquisitions, more of them moving data.
+   On the pinned input below both make 15 acquisitions, but LOTEC moves an
+   object between the two nodes in 5 rounds against OTEC's 2, so it carries
+   1.5x OTEC's bytes per acquisition while each of its rounds is 40 % smaller.
+   Per round, a LOTEC that stopped filtering (= OTEC behaviour) would still
+   trip the 1.4 bound. The margins are regression detectors, not the
+   paper's claim; the paper-scale strict orderings are asserted on the
+   deterministic scenarios. *)
+let byte_ordering_holds params =
+  let spec, config = build params in
+  (* Abort retries perturb schedules further; keep failure-free runs. *)
+  let inputs = (spec, { config with Core.Config.abort_probability = 0.0 }) in
+  let cotec, _, _ = data_rates ~protocol:Dsm.Protocol.Cotec inputs in
+  let otec, otec_round, _ = data_rates ~protocol:Dsm.Protocol.Otec inputs in
+  let lotec, lotec_round, _ = data_rates ~protocol:Dsm.Protocol.Lotec inputs in
+  lotec <= (cotec *. 1.15) +. 1.0
+  && lotec_round <= (otec_round *. 1.40) +. 1.0
+  && otec <= (cotec *. 1.25) +. 1.0
+
 let prop_byte_ordering =
-  (* The per-acquisition subset property (LOTEC set ⊆ OTEC set ⊆ COTEC set
-     for a fixed staleness snapshot) is exact and tested at the
-     Protocol.transfer_set level. At the whole-system level, different
-     protocols produce different interleavings on tiny high-conflict
-     clusters — acquisition counts diverge, ownership ping-pongs
-     differently, staleness snapshots differ — so per-run cross-protocol
-     totals carry scheduling noise in both directions (observed: OTEC with
-     32 acquisitions where COTEC took 28; LOTEC 10 % above OTEC per
-     acquisition on a 2-node run). What must survive arbitrary schedules:
-     LOTEC per acquisition never exceeds COTEC's (the headline gap is
-     large), and the neighbouring comparisons hold within bounded noise.
-     The exact orderings are asserted on the paper's (bigger, deterministic)
-     scenarios elsewhere. *)
-  QCheck.Test.make ~name:"data bytes per acquisition: ordering within noise" ~count:20
-    arb_spec (fun params ->
-      let spec, config = build params in
-      (* Abort retries perturb schedules further; keep failure-free runs. *)
-      let config = { config with Core.Config.abort_probability = 0.0 } in
-      let per_acquisition protocol =
-        let m = Experiments.Runner.metrics (run_one ~protocol (spec, config)) in
-        let acq = (Dsm.Metrics.totals m).Dsm.Metrics.global_acquisitions in
-        if acq = 0 then 0.0
-        else float_of_int (Dsm.Metrics.total_data_bytes m) /. float_of_int acq
-      in
-      let cotec = per_acquisition Dsm.Protocol.Cotec in
-      let otec = per_acquisition Dsm.Protocol.Otec in
-      let lotec = per_acquisition Dsm.Protocol.Lotec in
-      (* On 1-2 page objects LOTEC degenerates to OTEC exactly, and on
-         2-node clusters schedule divergence alone moves per-acquisition
-         averages by up to ~30 % in either direction (observed: OTEC 5 %
-         above COTEC; LOTEC 29 % above OTEC with 12 % fewer acquisitions).
-         No strict inequality survives adversarial interleavings at this
-         scale. The margins below are regression detectors, not the paper's
-         claim: a LOTEC that stopped filtering (= COTEC behaviour) would
-         sit ~1.9x above OTEC and trip the 1.4 bound; the paper-scale
-         strict orderings are asserted on the deterministic scenarios. *)
-      lotec <= (cotec *. 1.15) +. 1.0
-      && lotec <= (otec *. 1.40) +. 1.0
-      && otec <= (cotec *. 1.25) +. 1.0)
+  QCheck.Test.make ~name:"data bytes per acquisition: ordering within noise" ~count:20 arb_spec
+    byte_ordering_holds
+
+(* The input that made the per-acquisition LOTEC/OTEC comparison fail (one
+   full-suite run in about twelve drew something like it). *)
+let pinned_ping_pong = (888659, 3, (2, 4), 13, 2, 7)
+
+let test_pinned_ping_pong () =
+  let spec, config = build pinned_ping_pong in
+  let inputs = (spec, { config with Core.Config.abort_probability = 0.0 }) in
+  let acquisitions protocol =
+    let run = run_one ~protocol inputs in
+    (Dsm.Metrics.totals (Experiments.Runner.metrics run)).Dsm.Metrics.global_acquisitions
+  in
+  let otec, otec_round, otec_rounds = data_rates ~protocol:Dsm.Protocol.Otec inputs in
+  let lotec, lotec_round, lotec_rounds = data_rates ~protocol:Dsm.Protocol.Lotec inputs in
+  Alcotest.(check int) "OTEC acquisitions" 15 (acquisitions Dsm.Protocol.Otec);
+  Alcotest.(check int) "LOTEC acquisitions" 15 (acquisitions Dsm.Protocol.Lotec);
+  Alcotest.(check (float 0.5)) "OTEC bytes per acquisition" 1664.0 otec;
+  Alcotest.(check (float 0.5)) "LOTEC bytes per acquisition" 2496.0 lotec;
+  Alcotest.(check int) "OTEC data rounds" 2 otec_rounds;
+  Alcotest.(check int) "LOTEC data rounds" 5 lotec_rounds;
+  Alcotest.(check bool) "LOTEC rounds smaller" true (lotec_round < otec_round);
+  Alcotest.(check bool) "ordering holds" true (byte_ordering_holds pinned_ping_pong)
 
 let prop_deterministic =
   QCheck.Test.make ~name:"same inputs, same run" ~count:10 arb_spec (fun params ->
@@ -179,6 +223,7 @@ let tests =
       [
         QCheck_alcotest.to_alcotest ~long:true prop_invariants_all_protocols;
         QCheck_alcotest.to_alcotest ~long:true prop_byte_ordering;
+        Alcotest.test_case "byte ordering: pinned 2-node ping-pong" `Quick test_pinned_ping_pong;
         QCheck_alcotest.to_alcotest ~long:true prop_deterministic;
         QCheck_alcotest.to_alcotest ~long:true prop_all_roots_resolve;
         QCheck_alcotest.to_alcotest ~long:true prop_demand_fetches_only_lazy;

@@ -31,15 +31,15 @@ let branch_class ~page_size =
            Method_ir.make ~name:"transfer"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "deposit" };
-                 Method_ir.Invoke { slot = 1; meth = "deposit" };
+                 Method_ir.Invoke { slot = 0; meth = 0 (* deposit *) };
+                 Method_ir.Invoke { slot = 1; meth = 0 (* deposit *) };
                  Method_ir.Write 0;
                ];
            Method_ir.make ~name:"report"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "audit" };
-                 Method_ir.Invoke { slot = 1; meth = "audit" };
+                 Method_ir.Invoke { slot = 0; meth = 1 (* audit *) };
+                 Method_ir.Invoke { slot = 1; meth = 1 (* audit *) };
                  Method_ir.Read 0;
                ];
          ]
@@ -90,7 +90,7 @@ let committed rt =
 
 let test_single_root_commits () =
   let rt = make_runtime () in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"transfer" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"transfer" ~seed:1;
   Core.Runtime.run rt;
   Alcotest.(check int) "committed" 1 (committed rt);
   (match Core.Runtime.results rt with
@@ -111,7 +111,7 @@ let test_single_root_commits () =
 
 let test_locks_released_after_run () =
   let rt = make_runtime () in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"transfer" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"transfer" ~seed:1;
   Core.Runtime.run rt;
   let dir = Core.Runtime.directory rt in
   List.iter
@@ -122,8 +122,8 @@ let test_locks_released_after_run () =
 
 let test_update_visible_across_nodes () =
   let rt = make_runtime () in
-  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(oid 1) ~meth:"deposit" ~seed:1;
-  Core.Runtime.submit rt ~at:10_000.0 ~node:3 ~oid:(oid 1) ~meth:"audit" ~seed:2;
+  Named.submit rt ~at:0.0 ~node:0 ~oid:(oid 1) ~meth:"deposit" ~seed:1;
+  Named.submit rt ~at:10_000.0 ~node:3 ~oid:(oid 1) ~meth:"audit" ~seed:2;
   Core.Runtime.run rt;
   Alcotest.(check int) "both committed" 2 (committed rt);
   check_serializable rt;
@@ -143,7 +143,7 @@ let test_update_visible_across_nodes () =
 let test_conflicting_writers_serialize () =
   let rt = make_runtime () in
   for i = 0 to 5 do
-    Core.Runtime.submit rt ~at:(float_of_int i) ~node:(i mod 4) ~oid:(oid 0) ~meth:"transfer"
+    Named.submit rt ~at:(float_of_int i) ~node:(i mod 4) ~oid:(oid 0) ~meth:"transfer"
       ~seed:(100 + i)
   done;
   Core.Runtime.run rt;
@@ -154,7 +154,7 @@ let test_conflicting_writers_serialize () =
 let test_concurrent_readers_share () =
   let rt = make_runtime () in
   for i = 0 to 3 do
-    Core.Runtime.submit rt ~at:0.0 ~node:i ~oid:(oid 0) ~meth:"report" ~seed:(200 + i)
+    Named.submit rt ~at:0.0 ~node:i ~oid:(oid 0) ~meth:"report" ~seed:(200 + i)
   done;
   Core.Runtime.run rt;
   Alcotest.(check int) "all committed" 4 (committed rt);
@@ -163,7 +163,7 @@ let test_concurrent_readers_share () =
 let run_protocol protocol =
   let rt = make_runtime ~protocol () in
   for i = 0 to 7 do
-    Core.Runtime.submit rt ~at:(float_of_int (i * 50)) ~node:(i mod 4) ~oid:(oid 0)
+    Named.submit rt ~at:(float_of_int (i * 50)) ~node:(i mod 4) ~oid:(oid 0)
       ~meth:(if i mod 3 = 0 then "report" else "transfer")
       ~seed:(300 + i)
   done;
@@ -218,8 +218,8 @@ let test_upgrade_deadlock_resolved () =
              Method_ir.make ~name:"read_then_write"
                ~body:
                  [
-                   Method_ir.Invoke { slot = 0; meth = "audit" };
-                   Method_ir.Invoke { slot = 0; meth = "deposit" };
+                   Method_ir.Invoke { slot = 0; meth = 0 (* audit *) };
+                   Method_ir.Invoke { slot = 0; meth = 1 (* deposit *) };
                  ];
            ]
          ~ref_slots:1)
@@ -233,8 +233,8 @@ let test_upgrade_deadlock_resolved () =
       ]
   in
   let rt = make_runtime ~catalog () in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"read_then_write" ~seed:1;
-  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"read_then_write" ~seed:2;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"read_then_write" ~seed:1;
+  Named.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"read_then_write" ~seed:2;
   Core.Runtime.run rt;
   let t = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
   Alcotest.(check int) "both committed" 2 (committed rt);
@@ -248,7 +248,7 @@ let test_abort_injection_recovers () =
   let config = { Core.Config.default with Core.Config.abort_probability = 0.3 } in
   let rt = make_runtime ~config () in
   for i = 0 to 9 do
-    Core.Runtime.submit rt ~at:(float_of_int (i * 100)) ~node:(i mod 4) ~oid:(oid 0)
+    Named.submit rt ~at:(float_of_int (i * 100)) ~node:(i mod 4) ~oid:(oid 0)
       ~meth:"transfer" ~seed:(400 + i)
   done;
   Core.Runtime.run rt;
@@ -262,7 +262,7 @@ let test_prefetch_mode () =
   let config = { Core.Config.default with Core.Config.prefetch = true } in
   let rt = make_runtime ~config () in
   for i = 0 to 7 do
-    Core.Runtime.submit rt ~at:(float_of_int (i * 50)) ~node:(i mod 4) ~oid:(oid 0)
+    Named.submit rt ~at:(float_of_int (i * 50)) ~node:(i mod 4) ~oid:(oid 0)
       ~meth:"transfer" ~seed:(500 + i)
   done;
   Core.Runtime.run rt;
@@ -273,9 +273,9 @@ let test_prefetch_mode () =
 let test_rc_pushes () =
   let rt = make_runtime ~protocol:Dsm.Protocol.Rc_nested () in
   (* Warm two nodes' caches, then a third write triggers pushes to both. *)
-  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(oid 1) ~meth:"deposit" ~seed:1;
-  Core.Runtime.submit rt ~at:5_000.0 ~node:1 ~oid:(oid 1) ~meth:"deposit" ~seed:2;
-  Core.Runtime.submit rt ~at:10_000.0 ~node:2 ~oid:(oid 1) ~meth:"deposit" ~seed:3;
+  Named.submit rt ~at:0.0 ~node:0 ~oid:(oid 1) ~meth:"deposit" ~seed:1;
+  Named.submit rt ~at:5_000.0 ~node:1 ~oid:(oid 1) ~meth:"deposit" ~seed:2;
+  Named.submit rt ~at:10_000.0 ~node:2 ~oid:(oid 1) ~meth:"deposit" ~seed:3;
   Core.Runtime.run rt;
   let t = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
   Alcotest.(check bool) "eager pushes happened" true (t.Dsm.Metrics.eager_pushes >= 1);
@@ -354,12 +354,12 @@ let test_per_class_protocol_override () =
 let test_submit_validation () =
   let rt = make_runtime () in
   Alcotest.check_raises "bad node" (Invalid_argument "Runtime.submit: node out of range")
-    (fun () -> Core.Runtime.submit rt ~at:0.0 ~node:99 ~oid:(oid 0) ~meth:"transfer" ~seed:1);
+    (fun () -> Named.submit rt ~at:0.0 ~node:99 ~oid:(oid 0) ~meth:"transfer" ~seed:1);
   Alcotest.check_raises "bad method" Not_found (fun () ->
-      Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"nope" ~seed:1);
+      Named.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"nope" ~seed:1);
   Core.Runtime.run rt;
   Alcotest.check_raises "submit after run" (Invalid_argument "Runtime.submit: run already completed")
-    (fun () -> Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"transfer" ~seed:1)
+    (fun () -> Named.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"transfer" ~seed:1)
 
 let test_create_validation () =
   let bad_config = { Core.Config.default with Core.Config.node_count = 0 } in
@@ -376,7 +376,7 @@ let test_empty_run () =
 
 let test_progress_probe () =
   let rt = make_runtime () in
-  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"transfer" ~seed:9;
+  Named.submit rt ~at:0.0 ~node:0 ~oid:(oid 0) ~meth:"transfer" ~seed:9;
   Core.Runtime.run rt;
   Alcotest.(check bool) "versions advanced" true (Core.Runtime.next_version_exceeds rt 0)
 

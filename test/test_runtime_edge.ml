@@ -35,8 +35,8 @@ let two_phase_driver =
            Method_ir.make ~name:"go"
              ~body:
                [
-                 Method_ir.Invoke { slot = 0; meth = "touch_head" };
-                 Method_ir.Invoke { slot = 0; meth = "touch_tail" };
+                 Method_ir.Invoke { slot = 0; meth = 0 (* touch_head *) };
+                 Method_ir.Invoke { slot = 0; meth = 1 (* touch_tail *) };
                ];
          ]
        ~ref_slots:1)
@@ -58,16 +58,16 @@ let test_demand_fetch_on_second_method () =
   (* First dirty the tail pages from another node, so they are stale at the
      driver's node when it acquires for touch_head. *)
   let rt = make_runtime catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"touch_tail" ~seed:1;
-  Core.Runtime.submit rt ~at:5_000.0 ~node:3 ~oid:(oid 0) ~meth:"go" ~seed:2;
+  Named.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"touch_tail" ~seed:1;
+  Named.submit rt ~at:5_000.0 ~node:3 ~oid:(oid 0) ~meth:"go" ~seed:2;
   Core.Runtime.run rt;
   let t = totals rt in
   Alcotest.(check int) "committed" 2 t.Dsm.Metrics.roots_committed;
   Alcotest.(check bool) "demand fetch happened" true (t.Dsm.Metrics.demand_fetches >= 1);
   (* The same run under OTEC fetches everything up front: no demand. *)
   let rt2 = make_runtime ~protocol:Dsm.Protocol.Otec catalog in
-  Core.Runtime.submit rt2 ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"touch_tail" ~seed:1;
-  Core.Runtime.submit rt2 ~at:5_000.0 ~node:3 ~oid:(oid 0) ~meth:"go" ~seed:2;
+  Named.submit rt2 ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"touch_tail" ~seed:1;
+  Named.submit rt2 ~at:5_000.0 ~node:3 ~oid:(oid 0) ~meth:"go" ~seed:2;
   Core.Runtime.run rt2;
   Alcotest.(check int) "otec: none" 0 (totals rt2).Dsm.Metrics.demand_fetches
 
@@ -77,8 +77,8 @@ let test_lotec_skips_unneeded_pages () =
   let catalog = Catalog.create [ { Catalog.oid = oid 0; cls = regions_class; refs = [||] } ] in
   let run protocol =
     let rt = make_runtime ~protocol catalog in
-    Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_tail" ~seed:3;
-    Core.Runtime.submit rt ~at:5_000.0 ~node:2 ~oid:(oid 0) ~meth:"touch_head" ~seed:4;
+    Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_tail" ~seed:3;
+    Named.submit rt ~at:5_000.0 ~node:2 ~oid:(oid 0) ~meth:"touch_head" ~seed:4;
     Core.Runtime.run rt;
     Dsm.Metrics.total_data_bytes (Core.Runtime.metrics rt)
   in
@@ -103,7 +103,7 @@ let test_read_only_root_reports_no_dirty () =
   in
   ignore catalog;
   let rt = make_runtime catalog2 in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"peek" ~seed:5;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"peek" ~seed:5;
   Core.Runtime.run rt;
   (match Core.Runtime.committed_history rt with
   | [ h ] ->
@@ -126,7 +126,7 @@ let test_multicast_push_accounting () =
     let rt = make_runtime ~config ~protocol:Dsm.Protocol.Rc_nested catalog in
     List.iteri
       (fun i node ->
-        Core.Runtime.submit rt ~at:(float_of_int (i * 5_000)) ~node ~oid:(oid 0)
+        Named.submit rt ~at:(float_of_int (i * 5_000)) ~node ~oid:(oid 0)
           ~meth:"touch_both" ~seed:(10 + i))
       [ 0; 1; 2; 3 ];
     Core.Runtime.run rt;
@@ -154,7 +154,7 @@ let test_root_gives_up_when_out_of_retries () =
     compile
       (Obj_class.define ~name:"D" ~attrs:[||]
          ~methods:
-           [ Method_ir.make ~name:"go" ~body:[ Method_ir.Invoke { slot = 0; meth = "touch_head" } ] ]
+           [ Method_ir.make ~name:"go" ~body:[ Method_ir.Invoke { slot = 0; meth = 0 (* touch_head *) } ] ]
          ~ref_slots:1)
   in
   let catalog =
@@ -173,7 +173,7 @@ let test_root_gives_up_when_out_of_retries () =
     }
   in
   let rt = make_runtime ~config catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"go" ~seed:6;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"go" ~seed:6;
   Core.Runtime.run rt;
   (match Core.Runtime.results rt with
   | [ r ] ->
@@ -198,8 +198,8 @@ let test_colocated_families_contend_via_gdo () =
      through the GDO (Algorithm 4.1's last case) and still serialize. *)
   let catalog = Catalog.create [ { Catalog.oid = oid 0; cls = regions_class; refs = [||] } ] in
   let rt = make_runtime catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_both" ~seed:7;
-  Core.Runtime.submit rt ~at:1.0 ~node:1 ~oid:(oid 0) ~meth:"touch_both" ~seed:8;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_both" ~seed:7;
+  Named.submit rt ~at:1.0 ~node:1 ~oid:(oid 0) ~meth:"touch_both" ~seed:8;
   Core.Runtime.run rt;
   let t = totals rt in
   Alcotest.(check int) "both committed" 2 t.Dsm.Metrics.roots_committed;
@@ -233,8 +233,8 @@ let test_grant_bytes_scale_with_page_map () =
   in
   let rt = make_runtime catalog in
   (* Node 2 is home to neither object (homes are 0 and 1). *)
-  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 0) ~meth:"m" ~seed:9;
-  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"m" ~seed:10;
+  Named.submit rt ~at:0.0 ~node:2 ~oid:(oid 0) ~meth:"m" ~seed:9;
+  Named.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"m" ~seed:10;
   Core.Runtime.run rt;
   let m = Core.Runtime.metrics rt in
   let ctrl o = (Dsm.Metrics.per_object m (oid o)).Dsm.Metrics.control_bytes in
@@ -255,10 +255,10 @@ let recursive_catalog () =
          ~methods:
            [
              Method_ir.make ~name:"bounce"
-               ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = "bounce" } ];
+               ~body:[ Method_ir.Write 0; Method_ir.Invoke { slot = 0; meth = 0 (* bounce *) } ];
              Method_ir.make ~name:"local" ~body:[ Method_ir.Write 0 ];
              Method_ir.make ~name:"once"
-               ~body:[ Method_ir.Invoke { slot = 0; meth = "local" } ];
+               ~body:[ Method_ir.Invoke { slot = 0; meth = 1 (* local *) } ];
            ]
          ~ref_slots:1)
   in
@@ -295,8 +295,8 @@ let test_runtime_recursion_detection () =
   (* "bounce" recurses O0 -> O1 -> O0: must be rejected, exactly once (no
      retries — the failure is deterministic). "once" does not recurse and
      must commit despite the cyclic catalog. *)
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"bounce" ~seed:20;
-  Core.Runtime.submit rt ~at:10_000.0 ~node:2 ~oid:(oid 1) ~meth:"once" ~seed:21;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"bounce" ~seed:20;
+  Named.submit rt ~at:10_000.0 ~node:2 ~oid:(oid 1) ~meth:"once" ~seed:21;
   Core.Runtime.run rt;
   let by_meth m =
     List.find (fun (r : Core.Runtime.root_result) -> r.Core.Runtime.meth = m)
@@ -326,7 +326,7 @@ let test_runtime_recursion_undoes_writes () =
     { Core.Config.default with Core.Config.allow_recursive_catalogs = true }
   in
   let rt = make_runtime ~config catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"bounce" ~seed:22;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"bounce" ~seed:22;
   Core.Runtime.run rt;
   let _, versions = Gdo.Directory.page_map (Core.Runtime.directory rt) (oid 0) in
   Alcotest.(check bool) "gdo map untouched" true (Array.for_all (( = ) 0) versions);
@@ -413,7 +413,7 @@ let test_trace_sequence_for_simple_run () =
   let catalog = Catalog.create [ { Catalog.oid = oid 0; cls = regions_class; refs = [||] } ] in
   let config = { Core.Config.default with Core.Config.trace_capacity = 1000 } in
   let rt = make_runtime ~config catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_head" ~seed:11;
+  Named.submit rt ~at:0.0 ~node:1 ~oid:(oid 0) ~meth:"touch_head" ~seed:11;
   Core.Runtime.run rt;
   match Core.Runtime.trace rt with
   | None -> Alcotest.fail "trace expected"

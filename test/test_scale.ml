@@ -67,6 +67,19 @@ let test_forget_family () =
     (Invalid_argument (Format.asprintf "Txn_tree: unknown transaction %a" Txn.Txn_id.pp root))
     (fun () -> ignore (Txn.Txn_tree.status tree root))
 
+(* Per-transaction and per-family state lives in id rings that streaming
+   runs recycle: their capacity follows the in-flight work, so a run four
+   times as long ends with the same capacity. *)
+let test_slab_capacity_flat () =
+  let capacity roots =
+    let spec = Experiments.Scale.spec_for ~roots ~nodes:64 in
+    let _, rt = run_summary ~streaming:true ~protocol:Dsm.Protocol.Lotec spec in
+    Core.Runtime.slab_capacity rt
+  in
+  let c10 = capacity 10_000 and c40 = capacity 40_000 in
+  Alcotest.(check bool) "small" true (c10 <= 1024);
+  Alcotest.(check int) "same capacity at 10k and 40k roots" c10 c40
+
 (* The generator's documented ascending-by-[at] contract, at a size well
    past List.init's reverse-evaluation threshold (~10k) — the original
    [List.init] construction silently handed the last root the first
@@ -232,6 +245,8 @@ let tests =
         Alcotest.test_case "streaming requires fault-free" `Quick
           test_streaming_requires_fault_free;
         Alcotest.test_case "forget_family" `Quick test_forget_family;
+        Alcotest.test_case "slab capacity flat at 10k and 40k roots" `Slow
+          test_slab_capacity_flat;
         Alcotest.test_case "roots ascending by arrival" `Quick test_roots_ascending;
         Alcotest.test_case "run_point profile" `Quick test_run_point_profile;
         Alcotest.test_case "engine bench + json" `Quick test_engine_bench_and_json;

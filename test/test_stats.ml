@@ -42,8 +42,8 @@ let test_root_latencies () =
       ]
   in
   let rt = Core.Runtime.create ~config:Core.Config.default ~catalog in
-  Core.Runtime.submit rt ~at:0.0 ~node:0 ~oid:(Objmodel.Oid.of_int 0) ~meth:"m" ~seed:1;
-  Core.Runtime.submit rt ~at:100.0 ~node:1 ~oid:(Objmodel.Oid.of_int 0) ~meth:"m" ~seed:2;
+  Named.submit rt ~at:0.0 ~node:0 ~oid:(Objmodel.Oid.of_int 0) ~meth:"m" ~seed:1;
+  Named.submit rt ~at:100.0 ~node:1 ~oid:(Objmodel.Oid.of_int 0) ~meth:"m" ~seed:2;
   Core.Runtime.run rt;
   let lats = Experiments.Stats.root_latencies rt in
   Alcotest.(check int) "two latencies" 2 (List.length lats);

@@ -40,6 +40,61 @@ let test_tree_ancestry () =
   Alcotest.(check bool) "self or" true (Txn_tree.is_ancestor_or_self t ~ancestor:g g);
   Alcotest.(check bool) "cross family" false (Txn_tree.is_strict_ancestor t ~ancestor:other g)
 
+(* Transaction records live in an id ring: a forgotten or never-created id
+   raises the table's old message, ids keep counting after a forget, and
+   the ring grows only when a live id would collide. *)
+let test_tree_slab () =
+  let t = Txn_tree.create () in
+  let unknown id =
+    Invalid_argument (Format.asprintf "Txn_tree: unknown transaction %a" Txn_id.pp id)
+  in
+  Alcotest.check_raises "never created" (unknown (Txn_id.of_int 7)) (fun () ->
+      ignore (Txn_tree.status t (Txn_id.of_int 7)));
+  let roots = List.init 100 (fun i -> Txn_tree.create_root t ~node:(i mod 3)) in
+  let live = ref [] in
+  List.iteri
+    (fun i r -> if i < 90 then Txn_tree.forget_family t r else live := r :: !live)
+    roots;
+  Alcotest.check_raises "forgotten" (unknown (List.hd roots)) (fun () ->
+      ignore (Txn_tree.node_of t (List.hd roots)));
+  List.iter (fun r -> Alcotest.(check bool) "live survives" true (Txn_tree.is_root t r)) !live;
+  List.iter (Txn_tree.forget_family t) !live;
+  let capacity = Txn_tree.capacity t in
+  (* 1,000 short-lived families, one at a time: the live window never
+     spans more than two ids, so the ring recycles its slots. *)
+  for _ = 1 to 1000 do
+    let r = Txn_tree.create_root t ~node:0 in
+    let c = Txn_tree.create_child t ~parent:r in
+    Alcotest.(check bool) "fresh id" true (Txn_id.to_int c > Txn_id.to_int r);
+    Txn_tree.forget_family t r
+  done;
+  Alcotest.(check int) "ids never reused" 2100 (Txn_tree.count t);
+  Alcotest.(check int) "no growth under churn" capacity (Txn_tree.capacity t)
+
+let test_slab_ring () =
+  let s = Txn_id.Slab.create ~dummy:"" in
+  let id = Txn_id.of_int in
+  for i = 0 to 15 do
+    Txn_id.Slab.replace s (id i) (string_of_int i)
+  done;
+  Alcotest.(check int) "sixteen fit sixteen slots" 16 (Txn_id.Slab.capacity s);
+  for i = 0 to 7 do
+    Txn_id.Slab.remove s (id i)
+  done;
+  for i = 16 to 23 do
+    Txn_id.Slab.replace s (id i) (string_of_int i)
+  done;
+  Alcotest.(check int) "recycled slots, no growth" 16 (Txn_id.Slab.capacity s);
+  Alcotest.(check string) "newest" "23" (Txn_id.Slab.get s (id 23));
+  Alcotest.check_raises "removed id" Not_found (fun () -> ignore (Txn_id.Slab.get s (id 3)));
+  (* Id 40 lands on live id 8's slot: the ring doubles until both fit. *)
+  Txn_id.Slab.replace s (id 40) "40";
+  Alcotest.(check int) "grew on collision" 64 (Txn_id.Slab.capacity s);
+  List.iter
+    (fun i -> Alcotest.(check string) "kept" (string_of_int i) (Txn_id.Slab.get s (id i)))
+    [ 8; 15; 16; 23; 40 ];
+  Alcotest.check_raises "still removed" Not_found (fun () -> ignore (Txn_id.Slab.get s (id 3)))
+
 let test_tree_status_gate () =
   let t = Txn_tree.create () in
   let r = Txn_tree.create_root t ~node:0 in
@@ -394,6 +449,8 @@ let tests =
         Alcotest.test_case "tree roots and children" `Quick test_tree_roots_and_children;
         Alcotest.test_case "tree ancestry" `Quick test_tree_ancestry;
         Alcotest.test_case "tree status gate" `Quick test_tree_status_gate;
+        Alcotest.test_case "tree id ring" `Quick test_tree_slab;
+        Alcotest.test_case "slab ring" `Quick test_slab_ring;
         Alcotest.test_case "lock conflicts" `Quick test_lock_conflicts;
         Alcotest.test_case "ll not cached" `Quick test_ll_not_cached;
         Alcotest.test_case "ll install and retain" `Quick test_ll_install_and_retain_flow;

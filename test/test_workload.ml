@@ -40,7 +40,7 @@ let dump_workload (wl : Workload.Generator.t) =
             (Format.asprintf "%a" Access_analysis.pp_summary s)
             (String.concat ";"
                (List.map
-                  (fun (slot, meth) -> string_of_int slot ^ "." ^ meth)
+                  (fun (slot, meth) -> string_of_int slot ^ "." ^ Workload.Generator.method_name meth)
                   s.Access_analysis.invoked))
             (ints p.Access_analysis.access_pages)
             (ints p.Access_analysis.write_pages)
@@ -49,7 +49,8 @@ let dump_workload (wl : Workload.Generator.t) =
     (Catalog.oids cat);
   List.iter
     (fun (r : Workload.Generator.root_spec) ->
-      Printf.bprintf buf "root %h %d %d %s %d\n" r.at r.node (Oid.to_int r.oid) r.meth r.seed)
+      Printf.bprintf buf "root %h %d %d %s %d\n" r.at r.node (Oid.to_int r.oid)
+        (Workload.Generator.method_name r.meth) r.seed)
     wl.Workload.Generator.roots;
   Buffer.contents buf
 
@@ -186,12 +187,31 @@ let test_methods_access_subsets () =
     true
     (float_of_int !strict_subset > 0.5 *. float_of_int !total)
 
+(* Classes of one shape (page count) share one attribute array and one
+   layout: the stream-64 catalog's 2,048 classes hold five. *)
+let test_layouts_shared () =
+  let spec = Experiments.Scale.spec_for ~roots:1 ~nodes:64 in
+  let wl = Workload.Generator.generate spec ~page_size:4096 in
+  let cat = wl.Workload.Generator.catalog in
+  let classes = List.map (fun o -> (Catalog.find cat o).Catalog.cls) (Catalog.oids cat) in
+  let distinct f =
+    List.fold_left (fun acc c -> if List.exists (fun x -> x == f c) acc then acc else f c :: acc)
+      [] classes
+  in
+  let shapes = List.sort_uniq Int.compare (List.map Obj_class.page_count classes) in
+  Alcotest.(check int) "one layout per shape" (List.length shapes)
+    (List.length (distinct Obj_class.layout));
+  Alcotest.(check int) "one attribute array per shape" (List.length shapes)
+    (List.length (distinct (fun c -> Obj.repr (Obj_class.attrs c))));
+  Alcotest.(check bool) "fewer shapes than classes" true
+    (List.length shapes < List.length classes)
+
 let test_every_class_has_a_writer () =
   let wl = Workload.Generator.generate small_spec ~page_size:4096 in
   List.iter
     (fun o ->
       let inst = Catalog.find wl.Workload.Generator.catalog o in
-      let m0 = Obj_class.find_method inst.Catalog.cls "m0" in
+      let m0 = Obj_class.find_method inst.Catalog.cls 0 in
       Alcotest.(check bool) "m0 updates" true m0.Obj_class.summary.Access_analysis.updates)
     (Catalog.oids wl.Workload.Generator.catalog)
 
@@ -277,6 +297,7 @@ let tests =
         Alcotest.test_case "roots sorted and valid" `Quick test_roots_sorted_and_valid;
         Alcotest.test_case "methods access subsets" `Quick test_methods_access_subsets;
         Alcotest.test_case "every class has writer" `Quick test_every_class_has_a_writer;
+        Alcotest.test_case "layouts shared per shape" `Quick test_layouts_shared;
         Alcotest.test_case "scenarios match paper" `Quick test_scenarios_match_paper;
         Alcotest.test_case "scenario overrides" `Quick test_scenario_overrides;
         Alcotest.test_case "access skew" `Quick test_access_skew;
